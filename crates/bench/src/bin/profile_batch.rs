@@ -1,10 +1,8 @@
 //! Quick throughput profiler for the batch engine: measures the per-pair
 //! loop, the scratch-reusing core, and both batch entry points on the
-//! acceptance workload (random HHC(5) pairs), plus the metered batch
-//! path (counters on, timing off — the zero-cost claim) and a replay of
-//! the exact fan queries the construction issues. Uses a min-over-repeats
-//! protocol so a noisy host does not swamp the numbers; `cargo bench -p
-//! bench --bench batch_throughput` is the canonical measurement.
+//! acceptance workload (random HHC(5) pairs), plus a replay of the exact
+//! fan queries the construction issues. Uses a min-over-repeats protocol
+//! so a noisy host does not swamp the numbers.
 //!
 //! The cache section compares the symmetry caches on vs off across three
 //! 10k-pair workloads with different reuse profiles — uniform (every pair
@@ -104,25 +102,17 @@ fn run_cache_section(
     let mut rows = Vec::new();
     for w in make_workloads(h, total, pool) {
         let n = w.pairs.len() as f64;
-        let measure = |cfg: CacheConfig, repeats: usize| {
-            let (sets, report) = batch::construct_many_serial_metered_with(
-                h,
-                &w.pairs,
-                CrossingOrder::Gray,
-                false,
-                cfg,
-            )
-            .unwrap();
-            let secs = min_time(repeats, || {
-                let out = batch::construct_many_serial_metered_with(
-                    h,
-                    &w.pairs,
-                    CrossingOrder::Gray,
-                    false,
-                    cfg,
-                )
+        // A fresh builder per run: every repeat starts from cold caches.
+        let run = |cfg: CacheConfig| {
+            let mut builder = PathBuilder::with_caches(cfg);
+            let sets = batch::construct_many_serial(h, &w.pairs, CrossingOrder::Gray, &mut builder)
                 .unwrap();
-                std::hint::black_box(&out);
+            (sets, builder.metrics())
+        };
+        let measure = |cfg: CacheConfig, repeats: usize| {
+            let (sets, report) = run(cfg);
+            let secs = min_time(repeats, || {
+                std::hint::black_box(run(cfg));
             });
             (sets, report, secs * 1e9 / n)
         };
@@ -206,17 +196,14 @@ fn main() {
         }
     });
     let serial = min_time(repeats, || {
-        let out = batch::construct_many_serial(&h, &pairs, CrossingOrder::Gray).unwrap();
+        let mut builder = PathBuilder::new();
+        let out =
+            batch::construct_many_serial(&h, &pairs, CrossingOrder::Gray, &mut builder).unwrap();
         std::hint::black_box(&out);
     });
     let rayon = min_time(repeats, || {
-        let out = batch::construct_many(&h, &pairs, CrossingOrder::Gray).unwrap();
-        std::hint::black_box(&out);
-    });
-    // Counters on, timing off: the claimed ~zero-cost metrics mode.
-    let metered = min_time(repeats, || {
         let out =
-            batch::construct_many_serial_metered(&h, &pairs, CrossingOrder::Gray, false).unwrap();
+            batch::construct_many(&h, &pairs, CrossingOrder::Gray, CacheConfig::default()).unwrap();
         std::hint::black_box(&out);
     });
 
@@ -261,11 +248,6 @@ fn main() {
         per_pair / rayon
     );
     println!(
-        "batched_metered {:8.1} us/pair  ({:+.1}% vs serial)",
-        metered * 1e6 / n,
-        (metered / serial - 1.0) * 100.0
-    );
-    println!(
         "fan replay      {:8.1} us/pair ({} queries, {:.1} us/call)",
         fan * 1e6 / n,
         queries.len(),
@@ -275,7 +257,7 @@ fn main() {
     // --- Symmetry-cache comparison -----------------------------------
     println!();
     println!(
-        "cache section: {} pairs per workload (serial metered batch)",
+        "cache section: {} pairs per workload (serial batch)",
         pair_count
     );
     let rows = run_cache_section(&h, repeats, pair_count, pool, mode);
@@ -311,7 +293,6 @@ fn main() {
     o.f64("core_us", core * 1e6 / n);
     o.f64("batched_serial_us", serial * 1e6 / n);
     o.f64("batched_rayon_us", rayon * 1e6 / n);
-    o.f64("batched_metered_us", metered * 1e6 / n);
     let row_objs: Vec<String> = rows
         .iter()
         .map(|r| {

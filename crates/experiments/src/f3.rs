@@ -16,13 +16,14 @@ use crate::table::Table;
 use crate::util;
 use hhc_core::{Hhc, NodeId};
 use netsim::fault::analyze_with;
-use netsim::{FaultSet, RouteScratch};
+use netsim::RouteScratch;
 use rayon::prelude::*;
+use std::collections::HashSet;
 use workloads::random_fault_set;
 
 /// (single ok, multipath ok, surviving paths) tallies over one batch of
 /// pre-drawn trials, analysed in parallel.
-fn analyze_trials(h: &Hhc, inputs: &[(NodeId, NodeId, FaultSet)]) -> (u32, u32, u64) {
+fn analyze_trials(h: &Hhc, inputs: &[(NodeId, NodeId, HashSet<NodeId>)]) -> (u32, u32, u64) {
     let per_trial: Vec<(u32, u32, u64)> = inputs
         .par_iter()
         .map_init(RouteScratch::new, |scratch, (u, v, faults)| {
@@ -60,12 +61,10 @@ pub fn run() {
     // faults finally start hitting all m+1 paths at once.
     let sweep: &[usize] = &[0, 1, 2, 3, 4, 6, 9, 16, 32, 64, 128, 256, 512];
     for &f in sweep {
-        let inputs: Vec<(NodeId, NodeId, FaultSet)> = (0..trials)
+        let inputs: Vec<(NodeId, NodeId, HashSet<NodeId>)> = (0..trials)
             .map(|_| {
                 let (u, v) = util::random_pair(&h, &mut rng);
-                // Sorted-slice representation: the analysis probes the
-                // set once per path node, so membership is binary search.
-                let faults = FaultSet::from_set(&random_fault_set(&h, f, &[u, v], &mut rng));
+                let faults = random_fault_set(&h, f, &[u, v], &mut rng);
                 (u, v, faults)
             })
             .collect();
@@ -101,11 +100,11 @@ pub fn run_adversarial() {
     );
     let mut rng = util::rng(0xF3B0);
     for f in 0..=(m as usize + 2) {
-        let inputs: Vec<(NodeId, NodeId, FaultSet)> = (0..trials)
+        let inputs: Vec<(NodeId, NodeId, HashSet<NodeId>)> = (0..trials)
             .map(|_| {
                 let (u, v) = util::random_pair(&h, &mut rng);
                 let paths = h.disjoint_paths(u, v).unwrap();
-                let faults = FaultSet::from_set(&adversarial_fault_set(&paths, f, &mut rng));
+                let faults = adversarial_fault_set(&paths, f, &mut rng);
                 (u, v, faults)
             })
             .collect();

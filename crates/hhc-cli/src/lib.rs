@@ -22,7 +22,8 @@
 
 use hhc_core::disjoint::ConstructionCase;
 use hhc_core::{
-    batch, bounds, collectives, disjoint, verify, wide, CrossingOrder, Hhc, NodeId, Workspace,
+    batch, bounds, collectives, disjoint, verify, wide, CrossingOrder, Hhc, NodeId, PathBuilder,
+    Workspace,
 };
 use std::fmt::Write as _;
 
@@ -602,9 +603,11 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
         Command::Stats { m, pairs, seed } => {
             let h = net(m)?;
             let pair_list = workloads::sampling::random_pairs(&h, pairs, seed);
-            let (_, report) =
-                batch::construct_many_serial_metered(&h, &pair_list, CrossingOrder::Gray, true)
-                    .map_err(|e| CliError(e.to_string()))?;
+            let mut builder = PathBuilder::new();
+            builder.enable_timing(true);
+            batch::construct_many_serial(&h, &pair_list, CrossingOrder::Gray, &mut builder)
+                .map_err(|e| CliError(e.to_string()))?;
+            let report = builder.metrics();
             let c = &report.construction;
             let _ = writeln!(
                 out,

@@ -7,14 +7,15 @@
 //! millions of queries against one network, where that per-query setup
 //! dominates. This module amortises it:
 //!
-//! * [`construct_many_serial`] runs a pair list through one
+//! * [`construct_many_serial`] runs a pair list through the caller's
 //!   [`PathBuilder`] on the current thread;
 //! * [`construct_many`] fans the list out over rayon with one
-//!   `PathBuilder` per worker (`map_init`), preserving input order;
+//!   `PathBuilder` per worker, preserving input order, and merges the
+//!   workers' metrics;
 //! * [`Workspace`] bundles a [`PathSet`], a [`PathBuilder`] and a
 //!   [`VerifyScratch`] for callers with their own loop structure.
 //!
-//! All entry points are thin wrappers over the same construction core as
+//! Both entry points are thin wrappers over the same construction core as
 //! `disjoint::disjoint_paths`, so batched results are node-for-node
 //! identical to per-pair results (property-tested in
 //! `tests/batch_equivalence.rs`).
@@ -145,110 +146,25 @@ impl Workspace {
 }
 
 /// Constructs the disjoint-path family for every pair, in input order,
-/// fanning out over rayon with one [`PathBuilder`] per worker thread.
+/// fanning out over rayon, and returns the [`MetricsReport`] merged
+/// across every worker.
 ///
 /// Node-for-node identical to calling
 /// [`disjoint_paths`](crate::disjoint::disjoint_paths) per pair; the
-/// first error (e.g. an equal-nodes pair) aborts the batch.
+/// first error (e.g. an equal-nodes pair) aborts the batch. Each worker
+/// owns a [`PathBuilder`] with the symmetry-cache capacities `cfg` (no
+/// locks on the hot path); results are byte-identical for every `cfg`,
+/// including [`CacheConfig::disabled`], and the merged report's
+/// `family_hits` / fan `cache_hits` counters expose the aggregate hit
+/// rates.
+///
+/// The pair list is split into one contiguous chunk per rayon worker so
+/// each chunk's builder — and its counters — can be recovered after the
+/// parallel section and merged.
 pub fn construct_many(
     hhc: &Hhc,
     pairs: &[(NodeId, NodeId)],
     order: CrossingOrder,
-) -> Result<Vec<PathSet>, HhcError> {
-    construct_many_with(hhc, pairs, order, CacheConfig::default())
-}
-
-/// [`construct_many`] with explicit per-worker symmetry-cache capacities
-/// (each rayon worker owns its caches — no locks on the hot path).
-/// Results are byte-identical for every `cfg`, including
-/// [`CacheConfig::disabled`].
-pub fn construct_many_with(
-    hhc: &Hhc,
-    pairs: &[(NodeId, NodeId)],
-    order: CrossingOrder,
-    cfg: CacheConfig,
-) -> Result<Vec<PathSet>, HhcError> {
-    pairs
-        .par_iter()
-        .map_init(
-            || (PathBuilder::with_caches(cfg), PathSet::new()),
-            |(scratch, tmp), &(u, v)| {
-                disjoint_paths_into(hhc, u, v, order, tmp, scratch)?;
-                // Cloning the warm arena sizes the output exactly; building
-                // into a cold PathSet would pay growth reallocations per pair.
-                Ok(tmp.clone())
-            },
-        )
-        .collect()
-}
-
-/// Constructs a fault-avoiding family for every pair against one shared
-/// fault oracle, fanning out over rayon like [`construct_many`].
-/// Per-pair results (paths and outcome) are identical to calling
-/// [`crate::disjoint_paths_avoiding`] per pair.
-pub fn construct_many_avoiding(
-    hhc: &Hhc,
-    pairs: &[(NodeId, NodeId)],
-    order: CrossingOrder,
-    faults: &(dyn FaultOracle + Sync),
-) -> Result<Vec<(PathSet, AvoidOutcome)>, HhcError> {
-    pairs
-        .par_iter()
-        .map_init(
-            || (PathBuilder::new(), PathSet::new()),
-            |(scratch, tmp), &(u, v)| {
-                let outcome = disjoint_paths_avoiding_into(hhc, u, v, order, faults, tmp, scratch)?;
-                Ok((tmp.clone(), outcome))
-            },
-        )
-        .collect()
-}
-
-/// [`construct_many`] on the current thread only: one scratch, no
-/// thread fan-out. This isolates the allocation-reuse win from the
-/// parallelism win (and is what single-threaded callers should use).
-pub fn construct_many_serial(
-    hhc: &Hhc,
-    pairs: &[(NodeId, NodeId)],
-    order: CrossingOrder,
-) -> Result<Vec<PathSet>, HhcError> {
-    let mut scratch = PathBuilder::new();
-    let mut tmp = PathSet::new();
-    pairs
-        .iter()
-        .map(|&(u, v)| {
-            disjoint_paths_into(hhc, u, v, order, &mut tmp, &mut scratch)?;
-            Ok(tmp.clone())
-        })
-        .collect()
-}
-
-/// [`construct_many`] additionally returning the [`MetricsReport`]
-/// accumulated across every worker. Results are node-for-node identical
-/// to [`construct_many`]; `timed` enables per-query wall-clock timing
-/// (see [`PathBuilder::enable_timing`] for its cost).
-///
-/// The pair list is split into one contiguous chunk per rayon worker so
-/// each chunk's builder — and its counters — can be recovered after the
-/// parallel section and merged (plain `map_init` scratch is unrecoverable
-/// once the iterator finishes).
-pub fn construct_many_metered(
-    hhc: &Hhc,
-    pairs: &[(NodeId, NodeId)],
-    order: CrossingOrder,
-    timed: bool,
-) -> Result<(Vec<PathSet>, MetricsReport), HhcError> {
-    construct_many_metered_with(hhc, pairs, order, timed, CacheConfig::default())
-}
-
-/// [`construct_many_metered`] with explicit per-worker symmetry-cache
-/// capacities; the merged report's `family_hits` / fan `cache_hits`
-/// counters expose the aggregate hit rates.
-pub fn construct_many_metered_with(
-    hhc: &Hhc,
-    pairs: &[(NodeId, NodeId)],
-    order: CrossingOrder,
-    timed: bool,
     cfg: CacheConfig,
 ) -> Result<(Vec<PathSet>, MetricsReport), HhcError> {
     if pairs.is_empty() {
@@ -260,17 +176,9 @@ pub fn construct_many_metered_with(
     let per_chunk: Vec<Result<(Vec<PathSet>, MetricsReport), HhcError>> = chunks
         .par_iter()
         .map(|chunk| {
-            let mut scratch = PathBuilder::with_caches(cfg);
-            scratch.enable_timing(timed);
-            let mut tmp = PathSet::new();
-            let sets = chunk
-                .iter()
-                .map(|&(u, v)| {
-                    disjoint_paths_into(hhc, u, v, order, &mut tmp, &mut scratch)?;
-                    Ok(tmp.clone())
-                })
-                .collect::<Result<Vec<PathSet>, HhcError>>()?;
-            Ok((sets, scratch.metrics()))
+            let mut builder = PathBuilder::with_caches(cfg);
+            let sets = construct_many_serial(hhc, chunk, order, &mut builder)?;
+            Ok((sets, builder.metrics()))
         })
         .collect();
     let mut out = Vec::with_capacity(pairs.len());
@@ -283,37 +191,26 @@ pub fn construct_many_metered_with(
     Ok((out, report))
 }
 
-/// [`construct_many_serial`] additionally returning the single builder's
-/// [`MetricsReport`].
-pub fn construct_many_serial_metered(
+/// Constructs every pair's family on the current thread through the
+/// caller's `builder`: no thread fan-out, and the builder's caches,
+/// timing switch and counters carry over from call to call. Read
+/// [`PathBuilder::metrics`] afterwards for the effort report.
+pub fn construct_many_serial(
     hhc: &Hhc,
     pairs: &[(NodeId, NodeId)],
     order: CrossingOrder,
-    timed: bool,
-) -> Result<(Vec<PathSet>, MetricsReport), HhcError> {
-    construct_many_serial_metered_with(hhc, pairs, order, timed, CacheConfig::default())
-}
-
-/// [`construct_many_serial_metered`] with explicit symmetry-cache
-/// capacities.
-pub fn construct_many_serial_metered_with(
-    hhc: &Hhc,
-    pairs: &[(NodeId, NodeId)],
-    order: CrossingOrder,
-    timed: bool,
-    cfg: CacheConfig,
-) -> Result<(Vec<PathSet>, MetricsReport), HhcError> {
-    let mut scratch = PathBuilder::with_caches(cfg);
-    scratch.enable_timing(timed);
+    builder: &mut PathBuilder,
+) -> Result<Vec<PathSet>, HhcError> {
     let mut tmp = PathSet::new();
-    let sets = pairs
+    pairs
         .iter()
         .map(|&(u, v)| {
-            disjoint_paths_into(hhc, u, v, order, &mut tmp, &mut scratch)?;
+            disjoint_paths_into(hhc, u, v, order, &mut tmp, builder)?;
+            // Cloning the warm arena sizes the output exactly; building
+            // into a cold PathSet would pay growth reallocations per pair.
             Ok(tmp.clone())
         })
-        .collect::<Result<Vec<PathSet>, HhcError>>()?;
-    Ok((sets, scratch.metrics()))
+        .collect()
 }
 
 #[cfg(test)]
@@ -347,8 +244,8 @@ mod tests {
     fn batch_matches_per_pair() {
         let (h, pairs) = pairs_m3();
         for order in [CrossingOrder::Gray, CrossingOrder::Sorted] {
-            let batched = construct_many(&h, &pairs, order).unwrap();
-            let serial = construct_many_serial(&h, &pairs, order).unwrap();
+            let (batched, _) = construct_many(&h, &pairs, order, CacheConfig::default()).unwrap();
+            let serial = construct_many_serial(&h, &pairs, order, &mut PathBuilder::new()).unwrap();
             assert_eq!(batched.len(), pairs.len());
             for (i, &(u, v)) in pairs.iter().enumerate() {
                 let single = disjoint_paths(&h, u, v, order).unwrap();
@@ -363,7 +260,12 @@ mod tests {
         let h = Hhc::new(2).unwrap();
         let u = h.node(1, 1).unwrap();
         let v = h.node(2, 0).unwrap();
-        let err = construct_many(&h, &[(u, v), (v, v)], CrossingOrder::Gray);
+        let err = construct_many(
+            &h,
+            &[(u, v), (v, v)],
+            CrossingOrder::Gray,
+            CacheConfig::default(),
+        );
         assert_eq!(err, Err(HhcError::EqualNodes));
     }
 
@@ -389,15 +291,22 @@ mod tests {
     #[test]
     fn empty_batch_is_fine() {
         let h = Hhc::new(2).unwrap();
-        assert_eq!(construct_many(&h, &[], CrossingOrder::Gray), Ok(Vec::new()));
+        let (sets, _) =
+            construct_many(&h, &[], CrossingOrder::Gray, CacheConfig::default()).unwrap();
+        assert!(sets.is_empty());
     }
 
     #[test]
     fn metered_matches_unmetered_and_conserves_counters() {
         let (h, pairs) = pairs_m3();
-        let plain = construct_many(&h, &pairs, CrossingOrder::Gray).unwrap();
+        let plain: Vec<PathSet> = pairs
+            .iter()
+            .map(|&(u, v)| {
+                PathSet::from_paths(&disjoint_paths(&h, u, v, CrossingOrder::Gray).unwrap())
+            })
+            .collect();
         let (metered, report) =
-            construct_many_metered(&h, &pairs, CrossingOrder::Gray, false).unwrap();
+            construct_many(&h, &pairs, CrossingOrder::Gray, CacheConfig::default()).unwrap();
         assert_eq!(metered, plain);
         let c = &report.construction;
         assert_eq!(c.queries, pairs.len() as u64);
@@ -416,8 +325,10 @@ mod tests {
         // Timing disabled: no samples recorded.
         assert_eq!(c.timing.count(), 0);
 
-        let (serial, sreport) =
-            construct_many_serial_metered(&h, &pairs, CrossingOrder::Gray, true).unwrap();
+        let mut builder = PathBuilder::new();
+        builder.enable_timing(true);
+        let serial = construct_many_serial(&h, &pairs, CrossingOrder::Gray, &mut builder).unwrap();
+        let sreport = builder.metrics();
         assert_eq!(serial, plain);
         assert_eq!(sreport.construction.queries, c.queries);
         assert_eq!(sreport.construction.cross_cube, c.cross_cube);
@@ -428,12 +339,29 @@ mod tests {
     #[test]
     fn metered_empty_and_error_paths() {
         let h = Hhc::new(2).unwrap();
-        let (sets, report) = construct_many_metered(&h, &[], CrossingOrder::Gray, false).unwrap();
+        let cfg = CacheConfig::default();
+        let (sets, report) = construct_many(&h, &[], CrossingOrder::Gray, cfg).unwrap();
         assert!(sets.is_empty());
         assert_eq!(report, MetricsReport::default());
         let u = h.node(1, 1).unwrap();
-        let err = construct_many_metered(&h, &[(u, u)], CrossingOrder::Gray, false);
+        let err = construct_many(&h, &[(u, u)], CrossingOrder::Gray, cfg);
         assert!(matches!(err, Err(HhcError::EqualNodes)));
+    }
+
+    #[test]
+    fn serial_builder_carries_its_caches_across_calls() {
+        let (h, pairs) = pairs_m3();
+        let mut builder = PathBuilder::new();
+        let first = construct_many_serial(&h, &pairs, CrossingOrder::Gray, &mut builder).unwrap();
+        let hits_after_first = builder.metrics().construction.family_hits;
+        let second = construct_many_serial(&h, &pairs, CrossingOrder::Gray, &mut builder).unwrap();
+        assert_eq!(second, first);
+        // The caller-owned builder kept its family cache: every pair of
+        // the second call replays from it.
+        assert_eq!(
+            builder.metrics().construction.family_hits,
+            hits_after_first + pairs.len() as u64
+        );
     }
 
     #[test]
@@ -474,7 +402,8 @@ mod tests {
             (h.node(0x1234, 7).unwrap(), h.node(0x8765, 2).unwrap()),
             (h.node(0xBEEF, 9).unwrap(), h.node(0xBEF0, 9).unwrap()),
         ];
-        let sets = construct_many_serial(&h, &pairs, CrossingOrder::Gray).unwrap();
+        let sets = construct_many_serial(&h, &pairs, CrossingOrder::Gray, &mut PathBuilder::new())
+            .unwrap();
         let mut scratch = VerifyScratch::default();
         for (set, &(u, v)) in sets.iter().zip(&pairs) {
             verify_disjoint_paths_into(&h, u, v, set, &mut scratch).unwrap();

@@ -5,9 +5,9 @@
 //! there any faults at all?* — so the oracle trait is deliberately
 //! minimal and object-safe: callers hand the engine a `&dyn FaultOracle`
 //! and keep whatever representation suits their hot path (hash set,
-//! sorted slice, dense bitmap). `netsim` re-exports this trait as its
-//! `FaultLookup` so one fault set serves both the simulator's selection
-//! layer and the construction engine without conversion.
+//! dense bitmap). `netsim` uses this same trait for its selection layer,
+//! so one fault set serves both the simulator and the construction
+//! engine without conversion.
 
 use crate::node::NodeId;
 use std::collections::HashSet;

@@ -2,7 +2,7 @@
 //! be node-for-node identical to the per-pair API, and the flat
 //! [`PathSet`] arena must round-trip losslessly through `Vec<Path>`.
 
-use hhc_core::{batch, disjoint, CrossingOrder, Hhc, NodeId, PathBuilder, PathSet};
+use hhc_core::{batch, disjoint, CacheConfig, CrossingOrder, Hhc, NodeId, PathBuilder, PathSet};
 use proptest::prelude::*;
 
 /// Builds a valid HHC node from arbitrary bits.
@@ -33,8 +33,8 @@ proptest! {
             .collect();
         prop_assume!(!pairs.is_empty());
 
-        let batched = batch::construct_many(&h, &pairs, order).unwrap();
-        let serial = batch::construct_many_serial(&h, &pairs, order).unwrap();
+        let (batched, _) = batch::construct_many(&h, &pairs, order, CacheConfig::default()).unwrap();
+        let serial = batch::construct_many_serial(&h, &pairs, order, &mut PathBuilder::new()).unwrap();
         prop_assert_eq!(batched.len(), pairs.len());
         for (i, &(u, v)) in pairs.iter().enumerate() {
             let single = disjoint::disjoint_paths(&h, u, v, order).unwrap();

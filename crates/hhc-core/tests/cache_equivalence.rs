@@ -8,7 +8,9 @@
 //! pressure from deliberately tiny capacities. Pairs are drawn from a
 //! small pool and repeated so hit paths are actually exercised.
 
-use hhc_core::{batch, disjoint, CacheConfig, CrossingOrder, Hhc, NodeId, PathSet, Workspace};
+use hhc_core::{
+    batch, disjoint, CacheConfig, CrossingOrder, Hhc, NodeId, PathBuilder, PathSet, Workspace,
+};
 use proptest::prelude::*;
 
 /// Builds a valid HHC node from arbitrary bits.
@@ -92,13 +94,15 @@ proptest! {
         // Repeat the pool to create cache hits inside one batch call.
         let pairs: Vec<(NodeId, NodeId)> = pool.iter().copied().cycle().take(pool.len() * 3).collect();
 
-        let default = batch::construct_many(&h, &pairs, CrossingOrder::Gray).unwrap();
+        let (default, _) =
+            batch::construct_many(&h, &pairs, CrossingOrder::Gray, CacheConfig::default()).unwrap();
         for cfg in configs() {
-            let got = batch::construct_many_with(&h, &pairs, CrossingOrder::Gray, cfg).unwrap();
+            let mut builder = PathBuilder::with_caches(cfg);
+            let got =
+                batch::construct_many_serial(&h, &pairs, CrossingOrder::Gray, &mut builder).unwrap();
             prop_assert_eq!(&got, &default);
             let (metered, report) =
-                batch::construct_many_metered_with(&h, &pairs, CrossingOrder::Gray, false, cfg)
-                    .unwrap();
+                batch::construct_many(&h, &pairs, CrossingOrder::Gray, cfg).unwrap();
             prop_assert_eq!(&metered, &default);
             let c = &report.construction;
             prop_assert_eq!(c.queries, pairs.len() as u64);

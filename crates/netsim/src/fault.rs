@@ -11,10 +11,9 @@
 //! * **ground truth** reachability (any path at all) comes from BFS on
 //!   the materialised graph, for calibration on small networks.
 
-use crate::faults::FaultLookup;
 use crate::net::{Network, RouteScratch};
 use crate::strategy::path_blocked;
-use hhc_core::NodeId;
+use hhc_core::{FaultOracle, NodeId};
 
 /// Outcome of the static delivery analysis for one (pair, fault set).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,7 +31,7 @@ pub struct DeliveryOutcome {
 /// # Panics
 /// Panics if `u == v` or either endpoint is faulty (the model protects
 /// the communicating pair).
-pub fn analyze<N: Network + ?Sized, F: FaultLookup + ?Sized>(
+pub fn analyze<N: Network + ?Sized, F: FaultOracle + ?Sized>(
     net: &N,
     u: NodeId,
     v: NodeId,
@@ -48,7 +47,7 @@ pub fn analyze<N: Network + ?Sized, F: FaultLookup + ?Sized>(
 /// # Panics
 ///
 /// Same contract as [`analyze`]: `u ≠ v` and both endpoints alive.
-pub fn analyze_with<N: Network + ?Sized, F: FaultLookup + ?Sized>(
+pub fn analyze_with<N: Network + ?Sized, F: FaultOracle + ?Sized>(
     net: &N,
     u: NodeId,
     v: NodeId,
@@ -73,7 +72,6 @@ pub fn analyze_with<N: Network + ?Sized, F: FaultLookup + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::FaultSet;
     use hhc_core::Hhc;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -132,25 +130,6 @@ mod tests {
         let out = analyze(&h, u, v, &faults);
         assert!(!out.single_path_ok);
         assert!(out.multipath_ok);
-    }
-
-    #[test]
-    fn sorted_fault_set_matches_hashset_analysis() {
-        // Same outcomes through either fault representation.
-        let h = Hhc::new(3).unwrap();
-        let mut rng = StdRng::seed_from_u64(77);
-        let u = h.node(0x3C, 0b010).unwrap();
-        let v = h.node(0xC3, 0b111).unwrap();
-        let mut scratch = RouteScratch::new();
-        for f in 0..12 {
-            let hs = random_fault_set(&h, f, &[u, v], &mut rng);
-            let fs = FaultSet::from_set(&hs);
-            assert_eq!(
-                analyze_with(&h, u, v, &hs, &mut scratch),
-                analyze_with(&h, u, v, &fs, &mut scratch),
-                "representations diverged at f={f}"
-            );
-        }
     }
 
     #[test]

@@ -1,100 +1,33 @@
-//! Fault-set representations for the routing hot path.
+//! Fault representations for the simulator.
 //!
-//! The injection loop and every [`Strategy`](crate::Strategy) consult
-//! the fault set per packet — and per *node* of every candidate path.
-//! `HashSet<NodeId>` pays a 16-byte hash per probe; the fault sets the
-//! experiments use are tiny (`|F| ≤ m`, occasionally a few dozen), so a
-//! sorted slice probed by binary search is cheaper, cache-resident and
-//! allocation-free after construction. [`FaultLookup`] abstracts over
-//! both: the public APIs keep accepting `HashSet<NodeId>` unchanged,
-//! while [`Simulator`](crate::Simulator) converts its set into a
-//! [`FaultSet`] once per run.
+//! The fault-membership trait is [`hhc_core::FaultOracle`], shared with
+//! the construction layer: the selection strategies, the static
+//! analysis in [`crate::fault`] and the fault-avoiding construction all
+//! accept any oracle, and the public APIs take the builder
+//! representation `HashSet<NodeId>`. The engine itself builds a dense
+//! [`FaultFlags`] table from that set once per run, because it probes
+//! the set per packet on the injection hot path. Timed
+//! [`FaultEvent`]s then flip those flags while the run is in progress.
 //!
 //! ```
-//! use hhc_core::NodeId;
-//! use netsim::{FaultLookup, FaultSet};
+//! use hhc_core::{FaultOracle, NodeId};
+//! use netsim::FaultFlags;
+//! use std::collections::HashSet;
 //!
-//! let set = FaultSet::new(vec![5u128, 5, 9].into_iter().map(NodeId::from_raw).collect());
-//! assert_eq!(set.fault_count(), 2); // deduplicated
-//! assert!(set.is_faulty(NodeId::from_raw(9)));
-//! assert!(!set.is_faulty(NodeId::from_raw(4)));
+//! let set: HashSet<NodeId> = [5u128, 9].into_iter().map(NodeId::from_raw).collect();
+//! let flags = FaultFlags::from_set(&set, 16);
+//! assert_eq!(flags.fault_count(), 2);
+//! assert!(flags.is_faulty(NodeId::from_raw(9)));
+//! assert!(!flags.is_faulty(NodeId::from_raw(4)));
 //! ```
 
-use hhc_core::NodeId;
+use hhc_core::{FaultOracle, NodeId};
 use std::collections::HashSet;
-
-/// Membership oracle for faulty nodes — the construction-layer
-/// [`hhc_core::FaultOracle`] re-exported under the simulator's
-/// historical name. One trait serves both layers: `HashSet<NodeId>`
-/// (the ergonomic builder representation, implemented in `hhc-core`),
-/// [`FaultSet`] and [`FaultFlags`] (the hot-path representations,
-/// implemented here) all plug directly into both the selection
-/// strategies and the fault-avoiding construction.
-pub use hhc_core::FaultOracle as FaultLookup;
-
-/// A fault set stored as a sorted, deduplicated vector and probed by
-/// binary search.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FaultSet {
-    nodes: Vec<NodeId>,
-}
-
-impl FaultSet {
-    /// Builds the set from arbitrary (unsorted, possibly duplicated)
-    /// nodes.
-    pub fn new(mut nodes: Vec<NodeId>) -> Self {
-        nodes.sort_unstable();
-        nodes.dedup();
-        FaultSet { nodes }
-    }
-
-    /// Converts from the builder representation.
-    pub fn from_set(set: &HashSet<NodeId>) -> Self {
-        Self::new(set.iter().copied().collect())
-    }
-
-    /// Number of faulty nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether no node is faulty.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Membership test (binary search).
-    pub fn contains(&self, v: NodeId) -> bool {
-        self.nodes.binary_search(&v).is_ok()
-    }
-
-    /// The faulty nodes in ascending order.
-    pub fn as_slice(&self) -> &[NodeId] {
-        &self.nodes
-    }
-}
-
-impl FromIterator<NodeId> for FaultSet {
-    fn from_iter<I: IntoIterator<Item = NodeId>>(iter: I) -> Self {
-        Self::new(iter.into_iter().collect())
-    }
-}
-
-impl FaultLookup for FaultSet {
-    fn is_faulty(&self, v: NodeId) -> bool {
-        self.contains(v)
-    }
-
-    fn fault_count(&self) -> usize {
-        self.len()
-    }
-}
 
 /// Dense per-node fault flags for materialised networks: one `bool` per
 /// address, probed by direct indexing. The flat simulation core iterates
-/// every node each cycle and probes the fault set per packet, so on the
-/// ≤ 2^16-node networks it accepts a dense table beats both the hash set
-/// and the binary search. Nodes outside the table (never issued by the
+/// every node each cycle and probes the fault set per packet, so a dense
+/// table beats the hash set. Nodes outside the table (never issued by the
 /// simulator) read as healthy.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultFlags {
@@ -173,7 +106,7 @@ pub struct FaultEvent {
     pub action: FaultAction,
 }
 
-impl FaultLookup for FaultFlags {
+impl FaultOracle for FaultFlags {
     #[inline]
     fn is_faulty(&self, v: NodeId) -> bool {
         *self.flags.get(v.raw() as usize).unwrap_or(&false)
@@ -190,28 +123,6 @@ mod tests {
 
     fn n(raw: u128) -> NodeId {
         NodeId::from_raw(raw)
-    }
-
-    #[test]
-    fn agrees_with_hashset_membership() {
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let raw: Vec<NodeId> = (0..200).map(|_| n((next() % 512) as u128)).collect();
-        let hs: HashSet<NodeId> = raw.iter().copied().collect();
-        let fs: FaultSet = raw.iter().copied().collect();
-        assert_eq!(fs.len(), hs.len());
-        for probe in 0..512u128 {
-            assert_eq!(
-                fs.is_faulty(n(probe)),
-                hs.is_faulty(n(probe)),
-                "membership diverged at {probe}"
-            );
-        }
     }
 
     #[test]
@@ -245,15 +156,5 @@ mod tests {
         assert!(!ff.set(n(100), true));
         assert_eq!(ff.len(), 1);
         assert!(!ff.is_faulty(n(100)));
-    }
-
-    #[test]
-    fn dedups_and_sorts() {
-        let fs = FaultSet::new(vec![n(7), n(3), n(7), n(1)]);
-        assert_eq!(fs.as_slice(), &[n(1), n(3), n(7)]);
-        assert!(fs.contains(n(3)));
-        assert!(!fs.contains(n(2)));
-        assert!(!fs.is_empty());
-        assert!(FaultSet::default().is_empty());
     }
 }

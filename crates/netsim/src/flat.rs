@@ -37,13 +37,13 @@
 //! order, so they produce **byte-identical [`SimStats`]** — enforced by
 //! the `flat_equivalence` test suite and the `profile_sim` bench.
 
-use crate::faults::{FaultAction, FaultEvent, FaultFlags, FaultLookup};
+use crate::faults::{FaultAction, FaultEvent, FaultFlags};
 use crate::net::{LinkTable, Network, RouteScratch};
 use crate::packet::FlatPacket;
 use crate::sim::{DeliveryRecord, SimConfig, Switching};
 use crate::stats::{CycleSample, SimStats};
 use crate::strategy::Strategy;
-use hhc_core::{CacheConfig, NodeId};
+use hhc_core::{CacheConfig, FaultOracle, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet, VecDeque};

@@ -17,12 +17,12 @@
 
 use super::spec::Placement;
 use crate::fault::analyze_with;
-use crate::faults::FaultSet;
 use crate::net::RouteScratch;
 use hhc_core::{CrossingOrder, Hhc, NodeId, Workspace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
+use std::collections::HashSet;
 use workloads::sampling::random_pair;
 use workloads::{adversarial_fault_set, random_fault_set};
 
@@ -61,16 +61,14 @@ pub fn constructive_sweep(
         .enumerate()
         .map(|(row, &f)| {
             let mut rng = StdRng::seed_from_u64(seed.wrapping_add(row as u64));
-            let inputs: Vec<(NodeId, NodeId, FaultSet)> = (0..trials)
+            let inputs: Vec<(NodeId, NodeId, HashSet<NodeId>)> = (0..trials)
                 .map(|_| {
                     let (u, v) = random_pair(h, &mut rng);
                     let faults = match placement {
-                        Placement::Random => {
-                            FaultSet::from_set(&random_fault_set(h, f, &[u, v], &mut rng))
-                        }
+                        Placement::Random => random_fault_set(h, f, &[u, v], &mut rng),
                         Placement::Adversarial => {
                             let paths = h.disjoint_paths(u, v).expect("distinct healthy pair");
-                            FaultSet::from_set(&adversarial_fault_set(&paths, f, &mut rng))
+                            adversarial_fault_set(&paths, f, &mut rng)
                         }
                     };
                     (u, v, faults)
@@ -84,7 +82,11 @@ pub fn constructive_sweep(
 /// Analyses one batch of pre-drawn trials both ways — plain family
 /// filtered after the fact vs fault-aware construction — in parallel,
 /// each worker holding its own scratch and workspace.
-fn analyze_row(h: &Hhc, fault_count: usize, inputs: &[(NodeId, NodeId, FaultSet)]) -> AnalysisRow {
+fn analyze_row(
+    h: &Hhc,
+    fault_count: usize,
+    inputs: &[(NodeId, NodeId, HashSet<NodeId>)],
+) -> AnalysisRow {
     let per_trial: Vec<(u32, u32, u32, u64, usize)> = inputs
         .par_iter()
         .map_init(

@@ -6,22 +6,22 @@
 //!
 //! ```
 //! use hhc_core::Hhc;
-//! use netsim::{FaultSet, Strategy};
+//! use netsim::Strategy;
 //! use rand::{rngs::StdRng, SeedableRng};
+//! use std::collections::HashSet;
 //!
 //! let h = Hhc::new(2).unwrap();
 //! let (u, v) = (h.node(0, 0).unwrap(), h.node(0xA, 3).unwrap());
 //! let mut rng = StdRng::seed_from_u64(1);
 //! let route = Strategy::SinglePath
-//!     .select(&h, u, v, &FaultSet::default(), &mut rng)
+//!     .select(&h, u, v, &HashSet::new(), &mut rng)
 //!     .expect("no faults: always routable");
 //! assert_eq!(route.first(), Some(&u));
 //! assert_eq!(route.last(), Some(&v));
 //! ```
 
-use crate::faults::FaultLookup;
 use crate::net::{Network, RouteScratch};
-use hhc_core::{NodeId, Path};
+use hhc_core::{FaultOracle, NodeId, Path};
 use rand::Rng;
 
 /// How sources pick routes.
@@ -59,7 +59,7 @@ impl Strategy {
     /// Selects a route from `src` to `dst` (`src ≠ dst`), or `None` if the
     /// strategy cannot route around the faults. Allocates a fresh scratch
     /// per call; loops should use [`Strategy::select_with`].
-    pub fn select<N: Network + ?Sized, F: FaultLookup + ?Sized, R: Rng>(
+    pub fn select<N: Network + ?Sized, F: FaultOracle + ?Sized, R: Rng>(
         &self,
         net: &N,
         src: NodeId,
@@ -73,7 +73,7 @@ impl Strategy {
     /// [`Strategy::select`] with caller-owned route scratch: the disjoint
     /// family is built into the scratch's buffers and only the chosen
     /// route is copied out. Identical routes and RNG draw sequence.
-    pub fn select_with<N: Network + ?Sized, F: FaultLookup + ?Sized, R: Rng>(
+    pub fn select_with<N: Network + ?Sized, F: FaultOracle + ?Sized, R: Rng>(
         &self,
         net: &N,
         src: NodeId,
@@ -93,7 +93,7 @@ impl Strategy {
     /// route buffer lives for the whole run. Same routes, same RNG draw
     /// sequence as the allocating forms (which delegate here).
     #[allow(clippy::too_many_arguments)]
-    pub fn select_into<N: Network + ?Sized, F: FaultLookup + ?Sized, R: Rng>(
+    pub fn select_into<N: Network + ?Sized, F: FaultOracle + ?Sized, R: Rng>(
         &self,
         net: &N,
         src: NodeId,
@@ -183,13 +183,13 @@ impl Strategy {
     }
 }
 
-/// Adapts a generic `F: FaultLookup + ?Sized` borrow into a sized value
-/// that coerces to `&dyn FaultLookup` — the form
+/// Adapts a generic `F: FaultOracle + ?Sized` borrow into a sized value
+/// that coerces to `&dyn FaultOracle` — the form
 /// [`Network::disjoint_routes_avoiding_into`] (and through it the
 /// construction layer) accepts.
 struct OracleShim<'a, F: ?Sized>(&'a F);
 
-impl<F: FaultLookup + ?Sized> FaultLookup for OracleShim<'_, F> {
+impl<F: FaultOracle + ?Sized> FaultOracle for OracleShim<'_, F> {
     fn is_faulty(&self, v: NodeId) -> bool {
         self.0.is_faulty(v)
     }
@@ -200,14 +200,13 @@ impl<F: FaultLookup + ?Sized> FaultLookup for OracleShim<'_, F> {
 }
 
 /// Whether any node of `path` (endpoints included) is faulty.
-pub fn path_blocked<F: FaultLookup + ?Sized>(path: &[NodeId], faults: &F) -> bool {
+pub fn path_blocked<F: FaultOracle + ?Sized>(path: &[NodeId], faults: &F) -> bool {
     path.iter().any(|&v| faults.is_faulty(v))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::FaultSet;
     use hhc_core::Hhc;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -248,7 +247,7 @@ mod tests {
         let mut scratch = RouteScratch::new();
         for _ in 0..100 {
             let p = Strategy::MultipathRandom
-                .select_with(&h, u, v, &FaultSet::default(), &mut rng, &mut scratch)
+                .select_with(&h, u, v, &HashSet::new(), &mut rng, &mut scratch)
                 .unwrap();
             assert!(all.contains(&p));
             chosen.insert(p);
@@ -275,7 +274,7 @@ mod tests {
         let mut scratch = RouteScratch::new();
         for _ in 0..50 {
             let w = Strategy::Valiant
-                .select_with(&h, u, v, &FaultSet::default(), &mut rng, &mut scratch)
+                .select_with(&h, u, v, &HashSet::new(), &mut rng, &mut scratch)
                 .unwrap();
             assert_eq!(*w.first().unwrap(), u);
             assert_eq!(*w.last().unwrap(), v);
@@ -297,7 +296,7 @@ mod tests {
     fn valiant_avoids_faults() {
         let (h, u, v, mut rng) = setup();
         let direct = h.route(u, v).unwrap();
-        let faults: FaultSet = [direct[1]].into_iter().collect();
+        let faults: HashSet<_> = [direct[1]].into_iter().collect();
         let mut scratch = RouteScratch::new();
         for _ in 0..20 {
             if let Some(w) =
