@@ -28,10 +28,11 @@
 //! `results/BENCH_router.quick.json` (CI smoke + `perf_gate` input);
 //! full runs write `results/BENCH_router.json`.
 
+use hhc_core::service::{DEFAULT_L2_SHARDS, DEFAULT_L2_SHARD_CAPACITY};
 use hhc_core::{
-    disjoint, disjoint_paths_avoiding, disjoint_paths_avoiding_into, CacheConfig, CrossingOrder,
-    Hhc, L2Config, NodeId, PathBuilder, PathSet, QueryBatchResult, QueryResult, Router,
-    RouterConfig, SharedFamilyCache,
+    disjoint, disjoint_paths_avoiding, disjoint_paths_avoiding_into, disjoint_paths_into,
+    CacheConfig, CrossingOrder, Hhc, L2Config, NodeId, PathBuilder, PathSet, QueryBatchResult,
+    QueryResult, Router, RouterConfig, SharedFamilyCache,
 };
 use obs::json;
 use std::collections::{HashMap, HashSet};
@@ -196,7 +197,7 @@ fn run_pass(
 /// out to release the lock before replaying. Paired below with the
 /// per-query `Vec<Path>` materialisation the PR 9 worker loop
 /// performed, this reproduces that pipeline's per-hit work; the current
-/// tier answers the same probe from an immutable published snapshot
+/// tier answers the same probe from its published append-only tables
 /// with no lock and no per-query allocation.
 struct StripedL2 {
     shards: Vec<RwLock<HashMap<u128, StripedEntry>>>,
@@ -264,11 +265,11 @@ impl StripedL2 {
 
 /// Hit-path microbenchmark: every query replays a cached family
 /// (hit-heavy: the pool fits every tier), comparing the current
-/// lock-free snapshot tier against the PR 9 striped-RwLock pipeline.
+/// lock-free tier against the PR 9 striped-RwLock pipeline.
 ///
 /// The lock-free side runs the *full* public serving path
 /// ([`disjoint_paths_avoiding_into`] on a builder whose L1 is disabled,
-/// so every query is an L2 snapshot probe plus the avoiding layer's
+/// so every query is a lock-free L2 probe plus the avoiding layer's
 /// validation) into a reused `PathSet`. The striped side replays the
 /// identical families from the [`StripedL2`] baseline and materialises
 /// per-query `Vec<Path>`s, as the PR 9 worker did — it skips the
@@ -279,7 +280,7 @@ fn hit_path_bench(h: &Hhc, repeats: usize, pool_sz: usize, iters: usize) -> Stri
     let pairs = workloads::sampling::random_pairs(h, pool_sz, 0x417_0000 + m as u64);
     let empty: HashSet<NodeId> = HashSet::new();
 
-    // Lock-free side: shared snapshot tier, no L1 in front.
+    // Lock-free side: the shared tier, no L1 in front.
     let l2 = Arc::new(SharedFamilyCache::new(L2Config::enabled()));
     let no_l1 = CacheConfig {
         fan_capacity: 0,
@@ -353,6 +354,78 @@ fn hit_path_bench(h: &Hhc, repeats: usize, pool_sz: usize, iters: usize) -> Stri
     ro.f64("lockfree_qps", lockfree_qps);
     ro.f64("striped_qps", striped_qps);
     ro.f64("hit_speedup", hit_speedup);
+    ro.finish()
+}
+
+/// L2 store microbenchmark, by the `l2.store_us` definition: per-query
+/// time of a cold build with the L1 off and the L2 attached (every key
+/// is new, so every build ends in a store) minus the same build with no
+/// caches. The tier is first filled with one default tier's worth of
+/// other keys, so the timed stores run at steady-state occupancy. Each
+/// repeat stores a fresh chunk of keys; both sides take their minimum.
+fn l2_store_bench(h: &Hhc, repeats: usize, n: usize) -> String {
+    let fill = DEFAULT_L2_SHARDS * DEFAULT_L2_SHARD_CAPACITY;
+    let mut seen = HashSet::new();
+    let pairs: Vec<(NodeId, NodeId)> =
+        workloads::sampling::random_pairs(h, 2 * (fill + repeats * n), 0x5_7023)
+            .into_iter()
+            .filter(|&(u, v)| {
+                seen.insert((
+                    h.cube_field(u) ^ h.cube_field(v),
+                    h.node_field(u),
+                    h.node_field(v),
+                ))
+            })
+            .take(fill + repeats * n)
+            .collect();
+    assert_eq!(
+        pairs.len(),
+        fill + repeats * n,
+        "enough distinct family keys"
+    );
+    let l2 = Arc::new(SharedFamilyCache::new(L2Config::enabled()));
+    let mut stored = PathBuilder::with_caches(CacheConfig::disabled());
+    stored.attach_shared_cache(Arc::clone(&l2));
+    let mut plain = PathBuilder::with_caches(CacheConfig::disabled());
+    let mut out = PathSet::new();
+    let mut build = |b: &mut PathBuilder, chunk: &[(NodeId, NodeId)]| {
+        let t = Instant::now();
+        for &(u, v) in chunk {
+            disjoint_paths_into(h, u, v, CrossingOrder::Gray, &mut out, b).unwrap();
+            std::hint::black_box(&out);
+        }
+        t.elapsed().as_secs_f64()
+    };
+    let (warm, timed) = pairs.split_at(fill);
+    build(&mut stored, warm);
+    let (mut secs_plain, mut secs_stored) = (f64::INFINITY, f64::INFINITY);
+    for chunk in timed.chunks(n) {
+        secs_plain = secs_plain.min(build(&mut plain, chunk));
+        secs_stored = secs_stored.min(build(&mut stored, chunk));
+    }
+    let c = stored.metrics().construction;
+    assert_eq!(c.l2_hits, 0, "every stored key is new");
+    assert_eq!(
+        c.l2_misses as usize,
+        pairs.len(),
+        "every build probed the L2"
+    );
+    let cold_build_us = secs_plain / n as f64 * 1e6;
+    let l2_build_us = secs_stored / n as f64 * 1e6;
+    let store_us = l2_build_us - cold_build_us;
+    println!(
+        "l2 store m={}  cold build {cold_build_us:6.2} us  with L2 store {l2_build_us:6.2} us  \
+         store {store_us:6.2} us/query",
+        h.m()
+    );
+    let mut ro = json::Obj::new();
+    ro.str("case", "l2_store");
+    ro.u64("m", h.m() as u64);
+    ro.u64("fill", fill as u64);
+    ro.u64("pool", n as u64);
+    ro.f64("cold_build_us", cold_build_us);
+    ro.f64("l2_build_us", l2_build_us);
+    ro.f64("l2_store_us", store_us);
     ro.finish()
 }
 
@@ -481,14 +554,16 @@ fn main() {
         }
     }
 
-    // Hit-path microbenchmark: lock-free snapshot tier vs the PR 9
+    // Hit-path microbenchmark: lock-free tier vs the PR 9
     // striped-RwLock pipeline on a replay-only workload, at two network
     // sizes (family length scales with m).
     let (hit_pool, hit_iters) = if quick { (32, 50) } else { (64, 400) };
-    let hit_rows: Vec<String> = [3u32, 5]
+    let mut hit_rows: Vec<String> = [3u32, 5]
         .iter()
         .map(|&m| hit_path_bench(&Hhc::new(m).unwrap(), repeats, hit_pool, hit_iters))
         .collect();
+    // The miss side of the same tier: what one store adds to a build.
+    hit_rows.push(l2_store_bench(&h, repeats, if quick { 200 } else { 1000 }));
 
     let mut o = json::Obj::new();
     o.str("bench", "profile_router");

@@ -132,8 +132,8 @@ pub struct PathBuilder {
     family_cache: FamilyCache,
     // Optional shared L2 family tier (see `crate::service`), probed
     // between an L1 miss and a fresh construction, through a per-builder
-    // snapshot reader (lock-free probes). `None` (the default) keeps the
-    // builder fully self-contained.
+    // reader (lock-free probes). `None` (the default) keeps the builder
+    // fully self-contained.
     shared_cache: Option<crate::service::L2Reader>,
     // Observability: monotone counters plus opt-in per-query timing.
     metrics: ConstructionMetrics,
@@ -168,8 +168,8 @@ impl PathBuilder {
     }
 
     /// Attaches a shared L2 family tier: after the per-builder L1
-    /// misses, queries probe `l2` through a per-builder snapshot reader
-    /// (one atomic load, no lock — see `crate::service::shared`) before
+    /// misses, queries probe `l2` through a per-builder reader (one
+    /// atomic load, no lock — see `crate::service::shared`) before
     /// constructing, and fresh constructions are promoted into both
     /// tiers. Caching stays exact — replays are byte-identical to fresh
     /// constructions — so results are unaffected. `l2_hits`/`l2_misses`

@@ -7,22 +7,23 @@
 //! module turns the library into a serving system: a pool of worker
 //! threads, each owning a [`PathBuilder`] (the per-worker **L1** — the
 //! existing caches, semantics unchanged), layered over one process-wide
-//! [`SharedFamilyCache`] (**L2** — atomically-published immutable shard
-//! snapshots, keyed by the same canonical `(m, Xu⊕Xv, Yu, Yv, order)`
-//! signature; see [`shared`](self) module docs for the lock-free read
-//! path). A query is answered L1 → L2 → construct; misses are promoted
-//! into both tiers, so one worker's solve warms every other worker.
+//! [`SharedFamilyCache`] (**L2** — per-shard append-only probe tables of
+//! write-once slots, keyed by the same canonical `(m, Xu⊕Xv, Yu, Yv,
+//! order)` signature; see [`shared`](self) module docs for the
+//! lock-free read path). A query is answered L1 → L2 → construct; misses
+//! are promoted into both tiers — an L2 store fills one vacant slot, so
+//! one worker's solve warms every other worker at O(1) cost.
 //!
 //! ## Steady-state allocation discipline
 //!
 //! The serving hot path performs **no per-query heap allocation** once
-//! warm: an L2 hit is one atomic load plus a probe of a reader-local
-//! snapshot, copying nodes straight into reused scratch. The batch
-//! plumbing is pooled to match — `Batch` buffers (pairs in, results
-//! out) cycle `Router` → worker → `Router` through the existing
-//! channels and are recycled from a free list, and a whole batch's
-//! answers live in one arena-backed [`QueryBatchResult`] (a single
-//! [`PathSet`] plus per-query spans) instead of a `Vec<Path>` of
+//! warm: an L2 hit is one atomic load plus a probe of the shard tables
+//! the reader already holds, copying nodes straight into reused
+//! scratch. The batch plumbing is pooled to match — `Batch` buffers
+//! (pairs in, results out) cycle `Router` → worker → `Router` through
+//! the existing channels and are recycled from a free list, and a whole
+//! batch's answers live in one arena-backed [`QueryBatchResult`] (a
+//! single [`PathSet`] plus per-query spans) instead of a `Vec<Path>` of
 //! per-path `Vec`s per query. [`Router::query_many_into`] and
 //! [`Router::query_into`] expose that representation; the original
 //! [`Router::query_many`]/[`Router::query`] survive as thin shims that

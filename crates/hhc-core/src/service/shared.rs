@@ -1,5 +1,5 @@
-//! The shared L2 tier: an atomically-published, read-lock-free family
-//! cache plus the live fault set and its generation counter.
+//! The shared L2 tier: an append-only, read-lock-free family cache plus
+//! the live fault set and its generation counter.
 //!
 //! Entries are the same translation-canonical families the per-builder
 //! [`FamilyCache`](crate::FamilyCache) stores (CSR node list for
@@ -7,42 +7,57 @@
 //! `(m, Xu⊕Xv, Yu, Yv, order)` key — so one stored solve serves every
 //! worker and every cube-field translation.
 //!
-//! ## Snapshot-swap read path
+//! ## Append-only generations
 //!
-//! Earlier versions striped the map across `RwLock` shards; even
-//! uncontended, every probe paid a read-lock acquire/release (an atomic
-//! RMW on a shared cache line) and readers serialised against writers.
 //! The tier is read-mostly to an extreme degree — after warm-up, stores
-//! happen only on cold keys — so it now publishes **immutable
-//! snapshots** instead:
+//! happen only on cold keys — and a store must not cost more than the
+//! construction it saves. So each shard keeps its entries in
+//! **append-only probe tables** that readers probe without a lock:
 //!
-//! * Each shard owns an [`Arc<ShardSnapshot>`]: an open-addressing
-//!   probe table (`slots` → entry index) over immutable entries, each a
-//!   contiguous node/offset slab. Snapshots are never mutated after
-//!   publication.
-//! * Writers (cache-miss promotions) take a small per-shard mutex,
-//!   rebuild the table with the new entry (`Arc`-sharing every existing
-//!   entry's slab — no path data is copied), publish the new `Arc` and
-//!   bump the shard's version counter with a single release store.
-//! * Readers hold a per-worker [`L2Reader`] that caches one snapshot
-//!   `Arc` per shard. A probe is: one `Acquire` load of the shard
-//!   version, and — in the overwhelmingly common unchanged case — a
-//!   direct probe of the locally held snapshot. **No lock, no reference
-//!   count traffic, no clone**; a hit copies nodes straight from the
-//!   shared slab into the caller's [`PathSet`] scratch. Only when the
-//!   version moved (a writer published) does the reader briefly take
-//!   the shard mutex to re-clone the new snapshot `Arc`.
+//! * Each shard publishes an `Arc<Gens { hot, cold }>`. A generation is
+//!   a fixed-size open-addressing table of write-once
+//!   [`OnceLock`] slots, a power of two at least `2 × shard_capacity`
+//!   long, so it always keeps a vacant slot and every probe ends.
+//!   The hot table is allocated by its first store, so an empty shard
+//!   costs nothing.
+//! * A writer (a cache-miss promotion) takes a small per-shard mutex,
+//!   returns if the key is in either generation, and otherwise fills
+//!   one vacant hot slot with `OnceLock::set` — O(1), nothing else is
+//!   touched or copied.
+//! * Readers hold a per-worker [`L2Reader`] that caches one `Gens` `Arc`
+//!   per shard. A probe is one `Acquire` load of the shard version and
+//!   a probe of the locally held tables: **no lock, no reference-count
+//!   traffic, no clone**; a hit copies nodes straight from the entry's
+//!   slab into the caller's [`PathSet`] scratch.
+//!
+//! **Why `OnceLock`, and why a probe chain stays valid.** A slot only
+//! ever goes from vacant to filled, and the filled value is never
+//! changed again. A reader's linear probe stops at the first vacant
+//! slot, so a fill can only extend the chain it walks, never break it.
+//! `OnceLock` gives that transition without `unsafe`: `set` publishes
+//! the entry with release ordering and `get` reads it with acquire, so
+//! a reader that sees a slot filled sees the whole entry. A slot still
+//! being filled reads as vacant — a harmless miss, see below. A reader
+//! holding the shard's `Gens` therefore sees every new entry at once,
+//! with no version bump.
+//!
+//! **When readers refresh.** The shard version moves only when the
+//! `Gens` `Arc` is replaced: when the hot table holds `shard_capacity`
+//! entries and rotates to cold (once per `shard_capacity` stores), and
+//! on [`SharedFamilyCache::flush`]. Only then does a reader briefly
+//! take the shard mutex to re-clone the `Arc`.
 //!
 //! Staleness is harmless by construction: entries are plain
 //! (fault-blind) canonical families — immutable facts about the
-//! topology — so a reader probing a one-publish-old snapshot can only
+//! topology — so a reader probing one-rotation-old generations can only
 //! miss a key some other worker *just* added (it reconstructs and the
 //! store is idempotent: racing writers of the same key insert identical
 //! bytes) or replay an entry that was *just* evicted (still a correct
-//! family). Memory reclamation is the `Arc` drop chain: an old snapshot
-//! is freed when the last reader holding it refreshes, and an entry's
-//! slab is freed when the last snapshot referencing it goes — no epochs,
-//! no hazard pointers, no unsafe.
+//! family). Memory reclamation is still the `Arc` drop chain: a
+//! rotation drops the publisher's reference to the old cold table, and
+//! the table (with the entries it owns) is freed when the last reader
+//! holding the old `Gens` refreshes — no epochs, no hazard pointers, no
+//! unsafe.
 //!
 //! ## Fault feed
 //!
@@ -59,16 +74,16 @@
 //! no eager scan, no cache discard.
 //!
 //! Eviction mirrors the L1: two generations per shard ("hot"/"cold"),
-//! a full hot map becomes the cold map, bounding each shard at
+//! a full hot table becomes the cold table, bounding each shard at
 //! `2 × shard_capacity` entries. There is no cold→hot promotion on a
-//! hit — promotion would force a publish on the read path, and the L1
-//! in front of this tier already keeps the genuinely hot keys local.
+//! hit — promotion would put a write on the read path, and the L1 in
+//! front of this tier already keeps the genuinely hot keys local.
 
 use crate::node::NodeId;
 use crate::pathset::PathSet;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 
 /// Default shard count (rounded up to a power of two internally).
 pub const DEFAULT_L2_SHARDS: usize = 16;
@@ -86,7 +101,9 @@ pub struct L2Config {
     /// Write-side mutex stripes; rounded up to a power of two, at
     /// least 1. (Readers never lock regardless of the count.)
     pub shards: usize,
-    /// Hot-generation capacity of each stripe.
+    /// Hot-generation capacity of each stripe. Each generation's table
+    /// is allocated in full at its first store: a power of two at least
+    /// `2 × shard_capacity` slots of 16 bytes.
     pub shard_capacity: usize,
 }
 
@@ -117,7 +134,7 @@ impl Default for L2Config {
 
 /// One cached canonical family: a contiguous CSR node/offset slab plus
 /// the plan counts of the construction that produced it. Immutable once
-/// built; shared by every snapshot generation that contains it.
+/// stored; owned by the generation table it was stored into.
 #[derive(Debug)]
 struct SharedEntry {
     nodes: Box<[u128]>,
@@ -126,87 +143,59 @@ struct SharedEntry {
     detours: u64,
 }
 
-/// An immutable probe table over a shard's entries. `slots[i]` holds
-/// `entry index + 1` (0 = vacant); `keys`/`entries` are parallel.
-/// `slots.len()` is a power of two at least `2 × entries.len()`, so
-/// linear probing always terminates at a vacant slot.
-#[derive(Debug)]
-struct ShardSnapshot {
-    slots: Box<[u32]>,
-    keys: Box<[u128]>,
-    entries: Box<[Arc<SharedEntry>]>,
+/// A write-once probe-table slot holding `(key, entry)`. The payload is
+/// boxed so a slot is 16 bytes and a sparsely filled table stays small.
+type Slot = OnceLock<Box<(u128, SharedEntry)>>;
+
+/// Linear-probe lookup in one generation. `h` must be `fold_mix(key)`.
+#[inline]
+fn probe(table: &[Slot], h: u64, key: u128) -> Option<&SharedEntry> {
+    let mask = table.len() - 1;
+    let mut i = h as usize & mask;
+    while let Some(e) = table[i].get() {
+        if e.0 == key {
+            return Some(&e.1);
+        }
+        i = (i + 1) & mask;
+    }
+    None
 }
 
-impl ShardSnapshot {
-    fn empty() -> Arc<ShardSnapshot> {
-        Arc::new(ShardSnapshot {
-            slots: vec![0u32; 4].into_boxed_slice(),
-            keys: Box::new([]),
-            entries: Box::new([]),
-        })
-    }
+/// A shard's published generations. `hot` is allocated by the first
+/// store after a publish; `cold` is the previous rotation's hot table,
+/// shared with the `Gens` it was hot in.
+#[derive(Debug, Default)]
+struct Gens {
+    hot: OnceLock<Arc<[Slot]>>,
+    cold: Option<Arc<[Slot]>>,
+}
 
-    /// Builds a snapshot over the given entries (any iteration order).
-    fn build<'a>(
-        entries: impl Iterator<Item = (&'a u128, &'a Arc<SharedEntry>)>,
-        n: usize,
-    ) -> Self {
-        let cap = (2 * n).next_power_of_two().max(4);
-        let mut slots = vec![0u32; cap].into_boxed_slice();
-        let mut keys = Vec::with_capacity(n);
-        let mut ents = Vec::with_capacity(n);
-        let mask = cap - 1;
-        for (&key, entry) in entries {
-            let mut i = fold_mix(key) as usize & mask;
-            while slots[i] != 0 {
-                i = (i + 1) & mask;
-            }
-            slots[i] = keys.len() as u32 + 1;
-            keys.push(key);
-            ents.push(Arc::clone(entry));
-        }
-        ShardSnapshot {
-            slots,
-            keys: keys.into_boxed_slice(),
-            entries: ents.into_boxed_slice(),
-        }
-    }
-
-    /// Linear-probe lookup. `h` must be `fold_mix(key)`.
+impl Gens {
+    /// Looks `key` up in the hot generation, then the cold one.
     #[inline]
     fn get(&self, h: u64, key: u128) -> Option<&SharedEntry> {
-        let mask = self.slots.len() - 1;
-        let mut i = h as usize & mask;
-        loop {
-            let s = self.slots[i];
-            if s == 0 {
-                return None;
-            }
-            let idx = (s - 1) as usize;
-            if self.keys[idx] == key {
-                return Some(&self.entries[idx]);
-            }
-            i = (i + 1) & mask;
-        }
+        self.hot
+            .get()
+            .into_iter()
+            .chain(&self.cold)
+            .find_map(|t| probe(t, h, key))
     }
 }
 
-/// Write-side state of one shard: the bounded two-generation entry maps
-/// plus the currently published snapshot. Everything here is guarded by
-/// the shard mutex; readers touch it only to re-clone `published` after
-/// a version bump.
+/// Write-side state of one shard: the published generations plus their
+/// entry counts. Guarded by the shard mutex; readers touch it only to
+/// re-clone `gens` after a version bump.
 #[derive(Debug)]
 struct ShardWriter {
-    hot: HashMap<u128, Arc<SharedEntry>>,
-    cold: HashMap<u128, Arc<SharedEntry>>,
-    sweeps: u64,
-    published: Arc<ShardSnapshot>,
+    gens: Arc<Gens>,
+    hot_len: usize,
+    cold_len: usize,
 }
 
 #[derive(Debug)]
 struct ShardState {
-    /// Bumped (release, under the mutex) once per publish; readers pair
-    /// one acquire load with their locally cached snapshot.
+    /// Bumped (release, under the mutex) each time `gens` is replaced;
+    /// readers pair one acquire load with their locally cached `Gens`.
     version: AtomicU64,
     inner: Mutex<ShardWriter>,
 }
@@ -216,28 +205,30 @@ impl ShardState {
         ShardState {
             version: AtomicU64::new(0),
             inner: Mutex::new(ShardWriter {
-                hot: HashMap::new(),
-                cold: HashMap::new(),
-                sweeps: 0,
-                published: ShardSnapshot::empty(),
+                gens: Arc::default(),
+                hot_len: 0,
+                cold_len: 0,
             }),
         }
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, ShardWriter> {
-        // A writer that panicked mid-store left `hot`/`cold` consistent
-        // (the snapshot is built before anything is published), so
+        // A writer that panicked mid-store left the tables and counts
+        // consistent (a slot is filled before its count moves), so
         // poison carries no information here.
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Rebuilds and publishes the snapshot from the current generations.
-    /// Must be called with the lock held (`w` is the guard's target).
-    fn publish(&self, w: &mut ShardWriter) {
-        let n = w.hot.len() + w.cold.len();
-        // Hot entries first so a key present in both generations (never
-        // happens today, but harmless) resolves to the hot copy.
-        w.published = Arc::new(ShardSnapshot::build(w.hot.iter().chain(w.cold.iter()), n));
+    /// Publishes fresh generations — an unallocated hot table over
+    /// `cold` — and bumps the version. Must be called with the lock held
+    /// (`w` is the guard's target).
+    fn publish(&self, w: &mut ShardWriter, cold: Option<Arc<[Slot]>>, cold_len: usize) {
+        let hot = OnceLock::new();
+        *w = ShardWriter {
+            gens: Arc::new(Gens { hot, cold }),
+            hot_len: 0,
+            cold_len,
+        };
         self.version.fetch_add(1, Ordering::Release);
     }
 }
@@ -300,7 +291,7 @@ impl SharedFamilyCache {
             .iter()
             .map(|s| {
                 let w = s.lock();
-                w.hot.len() + w.cold.len()
+                w.hot_len + w.cold_len
             })
             .sum()
     }
@@ -370,10 +361,7 @@ impl SharedFamilyCache {
     /// baseline ablation; the serving path never needs it.
     pub fn flush(&self) {
         for s in self.shards.iter() {
-            let mut w = s.lock();
-            w.hot.clear();
-            w.cold.clear();
-            s.publish(&mut w);
+            s.publish(&mut s.lock(), None, 0);
         }
     }
 
@@ -383,10 +371,11 @@ impl SharedFamilyCache {
     }
 
     /// Stores the family in `set` (a fresh construction under
-    /// translation `mask`) canonicalised to `Xu = 0`, and publishes a
-    /// new shard snapshot. Racing writers of the same key insert
-    /// identical bytes (construction is deterministic), so
-    /// first-writer-wins is harmless.
+    /// translation `mask`) canonicalised to `Xu = 0` into a vacant slot
+    /// of the shard's hot table, rotating a full hot table to cold
+    /// first. Racing writers of the same key insert identical bytes
+    /// (construction is deterministic), so first-writer-wins is
+    /// harmless.
     pub(crate) fn store(&self, key: u128, mask: u128, set: &PathSet, rotations: u64, detours: u64) {
         if self.shard_capacity == 0 {
             return;
@@ -398,23 +387,34 @@ impl SharedFamilyCache {
             nodes.extend(path.iter().map(|v| v.raw() ^ mask));
             offsets.push(nodes.len() as u32);
         }
-        let entry = Arc::new(SharedEntry {
+        let entry = SharedEntry {
             nodes: nodes.into_boxed_slice(),
             offsets: offsets.into_boxed_slice(),
             rotations,
             detours,
-        });
-        let shard = self.shard_of(fold_mix(key));
+        };
+        let h = fold_mix(key);
+        let shard = self.shard_of(h);
         let mut w = shard.lock();
-        if w.hot.contains_key(&key) || w.cold.contains_key(&key) {
+        if w.gens.get(h, key).is_some() {
             return;
         }
-        if w.hot.len() >= self.shard_capacity {
-            w.cold = std::mem::take(&mut w.hot);
-            w.sweeps += 1;
+        if w.hot_len >= self.shard_capacity {
+            let (cold, cold_len) = (w.gens.hot.get().cloned(), w.hot_len);
+            shard.publish(&mut w, cold, cold_len);
         }
-        w.hot.insert(key, entry);
-        shard.publish(&mut w);
+        let len = (2 * self.shard_capacity).next_power_of_two();
+        let table = w
+            .gens
+            .hot
+            .get_or_init(|| (0..len).map(|_| Slot::new()).collect());
+        let mut i = h as usize & (len - 1);
+        while table[i].get().is_some() {
+            i = (i + 1) & (len - 1);
+        }
+        // Vacant under the lock, so `set` cannot lose a race.
+        let _ = table[i].set(Box::new((key, entry)));
+        w.hot_len += 1;
     }
 }
 
@@ -424,23 +424,24 @@ impl Default for SharedFamilyCache {
     }
 }
 
-/// Cached per-reader view of one shard: the snapshot `Arc` the reader
+/// Cached per-reader view of one shard: the `Gens` `Arc` the reader
 /// last saw and the shard version it was published at.
 #[derive(Debug)]
 struct LocalShard {
     version: u64,
-    snap: Arc<ShardSnapshot>,
+    gens: Arc<Gens>,
 }
 
 /// A per-worker read handle over a [`SharedFamilyCache`].
 ///
-/// The reader caches one published snapshot `Arc` per shard; a probe is
+/// The reader caches one published `Gens` `Arc` per shard; a probe is
 /// one acquire load of the shard version plus a table probe of the
-/// local snapshot — no lock and no reference-count traffic on the
-/// steady-state path. When the version moved (a writer published), the
-/// reader takes the shard mutex once to re-clone the new `Arc`; the
-/// snapshot it let go of is freed when its last holder refreshes
-/// (plain `Arc` reclamation — see the module docs).
+/// local generations — no lock and no reference-count traffic on the
+/// steady-state path. Stores into the held tables are visible at once;
+/// only when the version moved (a rotation or a flush) does the reader
+/// take the shard mutex to re-clone the new `Arc`. The generations it
+/// let go of are freed when their last holder refreshes (plain `Arc`
+/// reclamation — see the module docs).
 ///
 /// Created by
 /// [`PathBuilder::attach_shared_cache`](crate::PathBuilder::attach_shared_cache);
@@ -453,13 +454,18 @@ pub(crate) struct L2Reader {
 
 impl L2Reader {
     pub(crate) fn new(cache: Arc<SharedFamilyCache>) -> Self {
-        // Version 0 with an empty local snapshot matches a shard that
-        // has never published; shards that already have entries carry a
-        // version > 0 and refresh on first probe.
-        let local = (0..cache.shards.len())
-            .map(|_| LocalShard {
-                version: 0,
-                snap: ShardSnapshot::empty(),
+        // Start from the published generations themselves: stores do
+        // not bump the version, so a private empty copy would never see
+        // them.
+        let local = cache
+            .shards
+            .iter()
+            .map(|s| {
+                let w = s.lock();
+                LocalShard {
+                    version: s.version.load(Ordering::Relaxed),
+                    gens: Arc::clone(&w.gens),
+                }
             })
             .collect();
         L2Reader { cache, local }
@@ -474,8 +480,9 @@ impl L2Reader {
     /// `out` and returns its `(rotations, detours)` plan counts —
     /// byte-identical to what the construction that stored it produced,
     /// by the same equivariance argument as the L1 replay. Lock-free
-    /// and allocation-free unless the shard published since the last
-    /// probe (then one brief mutex hold to re-clone the snapshot).
+    /// and allocation-free unless the shard rotated or was flushed
+    /// since the last probe (then one brief mutex hold to re-clone the
+    /// generations).
     #[inline]
     pub(crate) fn replay(
         &mut self,
@@ -493,12 +500,12 @@ impl L2Reader {
         let v = shard.version.load(Ordering::Acquire);
         if v != local.version {
             let w = shard.lock();
-            local.snap = Arc::clone(&w.published);
+            local.gens = Arc::clone(&w.gens);
             // Re-read under the lock: no writer can be mid-publish, so
             // the pair is consistent.
             local.version = shard.version.load(Ordering::Relaxed);
         }
-        let e = local.snap.get(h, key)?;
+        let e = local.gens.get(h, key)?;
         out.extend_csr_xor(&e.nodes, &e.offsets, mask);
         Some((e.rotations, e.detours))
     }
@@ -548,8 +555,8 @@ mod tests {
 
     #[test]
     fn reader_sees_stores_published_after_creation() {
-        // The version check must pull in snapshots published both before
-        // and after the reader's first probe of a shard.
+        // The reader must see stores made both before and after its
+        // first probe of a shard.
         let l2 = Arc::new(SharedFamilyCache::new(L2Config {
             shards: 2,
             shard_capacity: 8,
@@ -621,7 +628,7 @@ mod tests {
             l2.store(key, 0, &set, key as u64, 0);
         }
         // Key 0 or 1 was swept to the cold generation by the third
-        // store; both must still replay from the published snapshot.
+        // store; both must still replay from the published generations.
         let mut r = reader(&l2);
         let mut out = PathSet::new();
         for key in 0..cap as u128 + 1 {
@@ -724,5 +731,129 @@ mod tests {
             out.clear();
             assert!(r.replay(key, 0, &mut out).is_some());
         }
+
+        // Same race on a tiny shard, so the writers rotate the
+        // generations many times under the readers' probes.
+        let cap = 4;
+        let l2 = Arc::new(SharedFamilyCache::new(L2Config {
+            shards: 1,
+            shard_capacity: cap,
+        }));
+        let writers: Vec<_> = (0..2)
+            .map(|t| {
+                let l2 = Arc::clone(&l2);
+                let set = set.clone();
+                std::thread::spawn(move || {
+                    for round in 0..50u128 {
+                        for key in 0..24u128 {
+                            l2.store(key, 0, &set, key as u64, round as u64 % 7 + t);
+                        }
+                    }
+                })
+            })
+            .collect();
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                let l2 = Arc::clone(&l2);
+                let set = set.clone();
+                std::thread::spawn(move || {
+                    let mut r = L2Reader::new(l2);
+                    let mut out = PathSet::new();
+                    for round in 0..2000u128 {
+                        let key = round % 24;
+                        out.clear();
+                        if let Some((nr, _)) = r.replay(key, 0, &mut out) {
+                            assert_eq!(nr, key as u64, "payload matches key");
+                            assert_eq!(out, set, "hit replays the stored family");
+                        }
+                    }
+                })
+            })
+            .collect();
+        for t in writers.into_iter().chain(readers) {
+            t.join().unwrap();
+        }
+        assert!(l2.len() <= 2 * cap, "rotations keep the shard bounded");
+        assert!(
+            version(&l2, 0) >= 3,
+            "the writers must rotate at least three times"
+        );
+    }
+
+    fn version(l2: &SharedFamilyCache, shard: usize) -> u64 {
+        l2.shards[shard].version.load(Ordering::Acquire)
+    }
+
+    #[test]
+    fn open_hot_generation_stores_are_visible_without_a_version_bump() {
+        let cap = 8;
+        let l2 = Arc::new(SharedFamilyCache::new(L2Config {
+            shards: 1,
+            shard_capacity: cap,
+        }));
+        l2.store(100, 0, &two_path_set(), 100, 0);
+        let mut r = reader(&l2);
+        let held = Arc::clone(&r.local[0].gens);
+        let mut out = PathSet::new();
+        for key in 0..cap as u128 - 1 {
+            l2.store(key, 0, &two_path_set(), key as u64, 0);
+            assert_eq!(
+                version(&l2, 0),
+                0,
+                "a store into open slots publishes nothing"
+            );
+            out.clear();
+            assert_eq!(r.replay(key, 0, &mut out), Some((key as u64, 0)));
+            assert!(
+                Arc::ptr_eq(&r.local[0].gens, &held),
+                "the reader still holds its earlier generations"
+            );
+        }
+    }
+
+    #[test]
+    fn version_bumps_once_per_rotation_and_once_per_flush() {
+        let cap = 4;
+        let l2 = SharedFamilyCache::new(L2Config {
+            shards: 2,
+            shard_capacity: cap,
+        });
+        // Keys that all land in shard 0, so its store count is exact.
+        let keys: Vec<u128> = (0..)
+            .filter(|&k| (fold_mix(k) >> 32) as usize & l2.shard_mask == 0)
+            .take(5 * cap)
+            .collect();
+        for (n, &key) in keys.iter().enumerate() {
+            l2.store(key, 0, &two_path_set(), 0, 0);
+            // Store n+1 rotates exactly when the n stores before it
+            // filled the hot table, i.e. n / cap times so far.
+            assert_eq!(version(&l2, 0), (n / cap) as u64, "after {} stores", n + 1);
+        }
+        assert_eq!(version(&l2, 1), 0, "the untouched shard never published");
+        let before = [version(&l2, 0), version(&l2, 1)];
+        l2.flush();
+        assert_eq!([version(&l2, 0), version(&l2, 1)], before.map(|v| v + 1));
+    }
+
+    #[test]
+    fn restoring_a_cold_key_does_not_insert_it_again() {
+        let cap = 2;
+        let l2 = SharedFamilyCache::new(L2Config {
+            shards: 1,
+            shard_capacity: cap,
+        });
+        for key in 0..cap as u128 + 1 {
+            l2.store(key, 0, &two_path_set(), key as u64, 0);
+        }
+        // Keys 0 and 1 now sit in the cold generation, key 2 in the hot.
+        let (len, v) = (l2.len(), version(&l2, 0));
+        assert_eq!(len, cap + 1);
+        for key in 0..cap as u128 + 1 {
+            l2.store(key, 0, &two_path_set(), 9, 9);
+            assert_eq!(l2.len(), len, "key {key} is already stored");
+            assert_eq!(version(&l2, 0), v, "a duplicate store publishes nothing");
+        }
+        let mut out = PathSet::new();
+        assert_eq!(reader(&Arc::new(l2)).replay(0, 0, &mut out), Some((0, 0)));
     }
 }

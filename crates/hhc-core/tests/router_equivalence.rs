@@ -15,9 +15,10 @@
 //! "the same fault set" means for the oracle. The loom/shuttle crates
 //! are not vendored in-tree, so interleavings are exercised by seeded
 //! schedules and thread-count sweeps rather than exhaustive model
-//! checking; the shard tier publishes immutable snapshots (readers
-//! probe a locally held `Arc`, writers serialise on a per-shard mutex —
-//! no lock-free retry loops), which keeps the schedule space benign.
+//! checking; the shard tier is append-only (readers probe a locally
+//! held `Arc` of write-once slots, writers serialise on a per-shard
+//! mutex — no lock-free retry loops), which keeps the schedule space
+//! benign.
 
 use hhc_core::{
     disjoint_paths_avoiding, CacheConfig, CrossingOrder, Hhc, HhcError, L2Config, NodeId, PathSet,

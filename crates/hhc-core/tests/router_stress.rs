@@ -1,7 +1,7 @@
 //! Concurrency stress for the routing service: the full worker pool
 //! hammered with `query_many_into` batches while a dedicated fault-feed
 //! thread churns `add_fault`/`clear_fault` at high rate — exercising
-//! the lock-free L2 snapshot reads, concurrent shard publishes, the
+//! the lock-free L2 reads, concurrent stores and rotations, the
 //! epoch-based fault re-snapshot, and the pooled batch recycling all at
 //! once, racing for the whole run.
 //!

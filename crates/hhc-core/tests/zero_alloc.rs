@@ -3,16 +3,19 @@
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; the
 //! test warms a builder (scratch buffers, cache entries, the published
-//! L2 snapshot) and then asserts that repeated hit-path queries perform
-//! no `alloc`/`realloc` at all. Three tiers are pinned:
+//! L2 generations) and then asserts that repeated hit-path queries
+//! perform no `alloc`/`realloc` at all. Four loops are pinned:
 //!
 //! * **L1 hit** — replay from the per-builder family cache;
 //! * **L2 hit** — the builder's L1 is configured away
 //!   (`family_capacity: 0`), so every query probes the shared tier's
-//!   lock-free snapshot and copies the slab into the caller's scratch;
+//!   lock-free tables and copies the slab into the caller's scratch;
 //! * **L2 hit under non-intersecting faults** — same, plus a live
 //!   fault set the replayed family doesn't touch, so the avoiding
-//!   layer's fault scan runs (and passes) on the hot path.
+//!   layer's fault scan runs (and passes) on the hot path;
+//! * **L2 hit after another builder's stores** — a second L1-less
+//!   builder stores new keys into the same tier (uncounted), then the
+//!   first builder's warm hits are counted again.
 //!
 //! This is the core of the router's per-query work; the worker loop
 //! around it adds only pooled buffers and an atomic fault-generation
@@ -111,7 +114,7 @@ fn hit_paths_do_not_allocate() {
     }
 
     // --- L2 hit path: L1 disabled, every query probes the shared
-    // snapshot and copies straight out of the slab. ---
+    // tables and copies straight out of the slab. ---
     let l2 = Arc::new(SharedFamilyCache::new(L2Config::enabled()));
     let mut warmer = PathBuilder::with_caches(CacheConfig::enabled());
     warmer.attach_shared_cache(Arc::clone(&l2));
@@ -126,7 +129,7 @@ fn hit_paths_do_not_allocate() {
     let mut reader = PathBuilder::with_caches(no_l1);
     reader.attach_shared_cache(Arc::clone(&l2));
     for &(u, v) in &queries {
-        // Warm the reader's snapshot handles and scratch capacity.
+        // Warm the reader's generation handles and scratch capacity.
         for _ in 0..3 {
             disjoint_paths_avoiding_into(
                 &h,
@@ -205,5 +208,48 @@ fn hit_paths_do_not_allocate() {
         reader.metrics().construction.fault_reroutes,
         0,
         "the fault must not intersect the family (hit path, not repair)"
+    );
+
+    // --- L2 hit after another builder stored new keys: the stores fill
+    // slots of the generations the warm reader already holds, and its
+    // hits must still not touch the heap. ---
+    let mut writer = PathBuilder::with_caches(no_l1);
+    writer.attach_shared_cache(Arc::clone(&l2));
+    let stored_before = l2.len();
+    for x in 0..8 {
+        let (a, b) = (h.node(x, 0b010).unwrap(), h.node(0x77, 0b101).unwrap());
+        disjoint_paths_avoiding_into(&h, a, b, CrossingOrder::Gray, &empty, &mut out, &mut writer)
+            .unwrap();
+    }
+    assert_eq!(
+        l2.len(),
+        stored_before + 8,
+        "the writer stored eight new keys"
+    );
+    let hits_before = reader.metrics().construction.l2_hits;
+    for &(u, v) in &queries {
+        let n = allocations(|| {
+            for _ in 0..64 {
+                disjoint_paths_avoiding_into(
+                    &h,
+                    u,
+                    v,
+                    CrossingOrder::Gray,
+                    &empty,
+                    &mut out,
+                    &mut reader,
+                )
+                .unwrap();
+            }
+        });
+        assert_eq!(
+            n, 0,
+            "L2-hit path after stores allocated {n} times for {u:?}→{v:?}"
+        );
+    }
+    assert_eq!(
+        reader.metrics().construction.l2_hits - hits_before,
+        64 * queries.len() as u64,
+        "every counted query after the stores was an L2 hit"
     );
 }
