@@ -1,16 +1,17 @@
 //! Sustained-throughput profiler for the concurrent routing service:
 //! measures queries/sec of a [`Router`] worker pool under a live fault
 //! feed, across thread counts and the three reuse workloads the batch
-//! profiler uses (uniform / permutation / hotspot), against two ablation
-//! baselines:
+//! profiler uses (uniform / permutation / hotspot). The measured mode,
+//! `shared`, is the default router, whose workers all use the one shared
+//! family-cache tier; it runs against two ablation baselines:
 //!
-//! * `l1_only` — the same pool with the shared L2 tier disabled
-//!   (per-worker caches only: what PR 4 already shipped);
-//! * `rebuild` — every fault event flushes both cache tiers
+//! * `l1_only` — the same pool with the shared tier disabled, so each
+//!   worker keeps a private family table;
+//! * `rebuild` — every fault event flushes the caches
 //!   ([`Router::flush_caches`]), the classic correct-but-crude answer to
-//!   "a fault arrived, the cache might be stale". The tiered router
+//!   "a fault arrived, the cache might be stale". The shared-tier router
 //!   instead keeps its fault-blind entries and repairs lazily, so the
-//!   gated `speedup` is tiered_qps / rebuild_qps.
+//!   gated `speedup` is shared_qps / rebuild_qps.
 //!
 //! The fault feed toggles interior nodes of answered families (so lazy
 //! invalidation actually fires) on a balanced schedule — every add is
@@ -22,7 +23,7 @@
 //! Timed passes serve through [`Router::query_many_into`] into one
 //! reused [`QueryBatchResult`] — the pipeline the service ships. The
 //! materialising [`Router::query_many`] shim is timed separately on the
-//! tiered router (`tiered_shim_qps`) and gates nothing.
+//! shared-tier router (`shared_shim_qps`) and gates nothing.
 //!
 //! `--quick` runs a reduced workload and writes
 //! `results/BENCH_router.quick.json` (CI smoke + `perf_gate` input);
@@ -164,7 +165,7 @@ fn oracle_answers(
 
 /// Feeds the whole schedule through a router: fault events before each
 /// batch (plus the trailing balance slot), each batch handed to `serve`.
-/// `rebuild` flushes both cache tiers after every event — the baseline.
+/// `rebuild` flushes the caches after every event — the baseline.
 fn run_pass(
     router: &mut Router,
     batches: &[&[(NodeId, NodeId)]],
@@ -268,8 +269,8 @@ impl StripedL2 {
 /// lock-free tier against the PR 9 striped-RwLock pipeline.
 ///
 /// The lock-free side runs the *full* public serving path
-/// ([`disjoint_paths_avoiding_into`] on a builder whose L1 is disabled,
-/// so every query is a lock-free L2 probe plus the avoiding layer's
+/// ([`disjoint_paths_avoiding_into`] on a builder with the shared tier
+/// attached, so every query is a lock-free L2 probe plus the avoiding layer's
 /// validation) into a reused `PathSet`. The striped side replays the
 /// identical families from the [`StripedL2`] baseline and materialises
 /// per-query `Vec<Path>`s, as the PR 9 worker did — it skips the
@@ -280,13 +281,9 @@ fn hit_path_bench(h: &Hhc, repeats: usize, pool_sz: usize, iters: usize) -> Stri
     let pairs = workloads::sampling::random_pairs(h, pool_sz, 0x417_0000 + m as u64);
     let empty: HashSet<NodeId> = HashSet::new();
 
-    // Lock-free side: the shared tier, no L1 in front.
+    // Lock-free side: the shared tier as the builder's family cache.
     let l2 = Arc::new(SharedFamilyCache::new(L2Config::enabled()));
-    let no_l1 = CacheConfig {
-        fan_capacity: 0,
-        family_capacity: 0,
-    };
-    let mut builder = PathBuilder::with_caches(no_l1);
+    let mut builder = PathBuilder::with_caches(CacheConfig::disabled());
     builder.attach_shared_cache(Arc::clone(&l2));
     let mut out = PathSet::new();
 
@@ -320,7 +317,7 @@ fn hit_path_bench(h: &Hhc, repeats: usize, pool_sz: usize, iters: usize) -> Stri
         }
     });
     let c = builder.metrics().construction;
-    assert_eq!(c.family_hits, 0, "L1 is disabled in the hit bench");
+    assert_eq!(c.family_hits, 0, "the shared tier is the only family cache");
     assert_eq!(
         c.l2_misses as usize,
         pairs.len(),
@@ -358,7 +355,7 @@ fn hit_path_bench(h: &Hhc, repeats: usize, pool_sz: usize, iters: usize) -> Stri
 }
 
 /// L2 store microbenchmark, by the `l2.store_us` definition: per-query
-/// time of a cold build with the L1 off and the L2 attached (every key
+/// time of a cold build with the L2 attached (every key
 /// is new, so every build ends in a store) minus the same build with no
 /// caches. The tier is first filled with one default tier's worth of
 /// other keys, so the timed stores run at steady-state occupancy. Each
@@ -430,7 +427,7 @@ fn l2_store_bench(h: &Hhc, repeats: usize, n: usize) -> String {
 }
 
 /// The three router modes per cell.
-const MODES: [&str; 3] = ["tiered", "l1_only", "rebuild"];
+const MODES: [&str; 3] = ["shared", "l1_only", "rebuild"];
 
 fn main() {
     let quick = std::env::args().skip(1).any(|a| a == "--quick");
@@ -459,7 +456,8 @@ fn main() {
         for &t in threads {
             let mut qps = [f64::NAN; MODES.len()];
             let mut shim_qps = f64::NAN;
-            let mut tiered_metrics = None;
+            let mut shared_metrics = None;
+            let mut l1_metrics = None;
             for (mi, &mode) in MODES.iter().enumerate() {
                 let cfg = RouterConfig {
                     threads: t,
@@ -496,8 +494,11 @@ fn main() {
                     });
                 });
                 qps[mi] = w.pairs.len() as f64 / secs;
-                if mode == "tiered" {
-                    tiered_metrics = Some(router.metrics().construction);
+                if mode == "l1_only" {
+                    l1_metrics = Some(router.metrics().construction);
+                }
+                if mode == "shared" {
+                    shared_metrics = Some(router.metrics().construction);
                     // The owned `query_many` shim, timed on its own row.
                     let mut sink: Vec<QueryResult> = Vec::with_capacity(want.len());
                     let secs = min_time(repeats, || {
@@ -510,7 +511,8 @@ fn main() {
                     shim_qps = w.pairs.len() as f64 / secs;
                 }
             }
-            let c = tiered_metrics.expect("tiered mode always runs");
+            let c = shared_metrics.expect("shared mode always runs");
+            let l1 = l1_metrics.expect("l1_only mode always runs");
             let l2_probes = c.l2_hits + c.l2_misses;
             let l2_hit_rate = if l2_probes > 0 {
                 c.l2_hits as f64 / l2_probes as f64
@@ -520,9 +522,9 @@ fn main() {
             let speedup = qps[0] / qps[2];
             let speedup_vs_l1 = qps[0] / qps[1];
             println!(
-                "{:11} ({:5} distinct) t={}  tiered {:9.0} qps  l1_only {:9.0} qps  \
+                "{:11} ({:5} distinct) t={}  shared {:9.0} qps  l1_only {:9.0} qps  \
                  rebuild {:9.0} qps  speedup {:5.2}x (vs l1 {:4.2}x)  l2 hits {:5.1}%  \
-                 invalidations {}  (tiered shim {:9.0} qps)",
+                 invalidations {}  (shared shim {:9.0} qps)",
                 w.name,
                 w.distinct,
                 t,
@@ -540,14 +542,15 @@ fn main() {
             ro.u64("threads", t as u64);
             ro.u64("distinct_pairs", w.distinct as u64);
             ro.u64("fault_events", fault_events as u64);
-            ro.f64("tiered_qps", qps[0]);
+            ro.f64("shared_qps", qps[0]);
             ro.f64("l1_only_qps", qps[1]);
             ro.f64("rebuild_qps", qps[2]);
-            ro.f64("tiered_shim_qps", shim_qps);
+            ro.f64("shared_shim_qps", shim_qps);
             ro.f64("speedup", speedup);
             ro.f64("speedup_vs_l1", speedup_vs_l1);
             ro.f64("l2_hit_rate", l2_hit_rate);
-            ro.f64("family_hit_rate", c.family_hit_rate().unwrap_or(f64::NAN));
+            // Private-table hits happen only in the l1_only mode.
+            ro.f64("family_hit_rate", l1.family_hit_rate().unwrap_or(f64::NAN));
             ro.u64("l2_invalidations", c.l2_invalidations);
             ro.u64("fault_reroutes", c.fault_reroutes);
             rows.push(ro.finish());

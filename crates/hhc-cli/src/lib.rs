@@ -923,9 +923,8 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
             let l2_probes = c.l2_hits + c.l2_misses;
             let _ = writeln!(
                 out,
-                "  cache tiers   : {} L1 hits, {} L2 hits ({:.1}% of L2 probes), \
+                "  family cache  : {} shared-tier hits ({:.1}% of probes), \
                  {} invalidations, fault generation {}",
-                c.family_hits,
                 c.l2_hits,
                 if l2_probes > 0 {
                     100.0 * c.l2_hits as f64 / l2_probes as f64
@@ -1330,8 +1329,8 @@ mod tests {
         }
     }
 
-    /// End-to-end serve: a query file with repeats (so the cache tiers
-    /// engage), a fault schedule that blocks an interior node mid-stream,
+    /// End-to-end serve: a query file with repeats (so the family cache
+    /// engages), a fault schedule that blocks an interior node mid-stream,
     /// windowed progress lines and the summary with quantiles.
     #[test]
     fn execute_serve_lifecycle() {

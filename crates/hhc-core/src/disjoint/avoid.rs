@@ -37,7 +37,7 @@
 //!    surviving plain paths are returned instead. With `f ≥ m + 1`
 //!    faults the result may legitimately be empty.
 //!
-//! The rebuild never touches the `FanCache`/`FamilyCache` — cached
+//! The rebuild never touches the fan or family caches — cached
 //! entries are keyed on geometry only and would be unsound to replay
 //! against an arbitrary fault set; bypassing them keeps cache-on ≡
 //! cache-off exact.
@@ -123,7 +123,7 @@ pub(super) fn avoid_into(
         });
     }
     sc.metrics.fault_reroutes += 1;
-    // The lazy-invalidation event of the tiered cache: a family replayed
+    // The lazy-invalidation event of the shared cache: a family replayed
     // from the shared L2 turned out to intersect the live fault set and
     // is being repaired (the entry itself stays — it is a fault-blind
     // fact, blocked only for this translation under these faults).

@@ -11,33 +11,37 @@
 //! translated by `Xu`, and one cached solve serves all `2^{2^m}`
 //! translated instances of its signature.
 //!
-//! Eviction mirrors [`hypercube::FanCache`]: two generations ("hot" and
-//! "cold"); lookups probe hot then cold (promoting on a cold hit); a full
-//! hot map becomes the new cold map and the previous cold generation is
-//! dropped. Bounded memory (≤ 2 × capacity entries), amortised O(1),
-//! approximately LRU.
+//! Each [`PathBuilder`](crate::PathBuilder) holds exactly one family
+//! cache, `FamilyTier`, implemented once as a
+//! [`SharedFamilyCache`]: by default a private single-shard table, or
+//! a tier shared with other builders (the router's workers) once one is
+//! attached — the attached tier replaces the private table rather than
+//! sitting behind it. Eviction is the shared tier's: two append-only
+//! generations, a full hot table becomes the cold one, bounding the
+//! cache at `2 × capacity` keys; a private table also promotes cold hits
+//! into its hot generation.
 //!
 //! Entries also carry the rotation/detour plan counts of the cached
 //! family so metric conservation laws (`rotation_plans + detour_plans =
 //! degree × cross_cube + same_cube`) survive cache replays.
 
 use super::CrossingOrder;
-use crate::node::NodeId;
 use crate::pathset::PathSet;
-use std::collections::HashMap;
+use crate::service::{L2Config, L2Reader, SharedFamilyCache};
+use std::sync::Arc;
 
 /// Default hot-generation capacity. An HHC(5) family entry is a few
-/// kilobytes, so the default bounds a per-worker cache at single-digit
+/// kilobytes, so the default bounds a private table at single-digit
 /// megabytes while covering typical repeated-pattern workloads.
 pub const DEFAULT_FAMILY_CACHE_CAPACITY: usize = 1024;
 
-/// Adaptive-bypass warm-up: the cache never latches probe-only before it
+/// Adaptive-bypass warm-up: a private table never latches probe-only before it
 /// has seen this many probes (a cold cache always starts at a 0% hit
 /// rate; that is not evidence the workload lacks reuse).
 pub const BYPASS_MIN_PROBES: u64 = 512;
 
-/// Adaptive-bypass hit-rate floor: below this lifetime hit rate the
-/// cache is judged useless for the running workload (uniform-random
+/// Adaptive-bypass hit-rate floor: below this lifetime hit rate a
+/// private table is judged useless for the running workload (uniform-random
 /// pairs on a large address space re-key almost every query).
 pub const BYPASS_HIT_FLOOR: f64 = 0.05;
 
@@ -53,7 +57,8 @@ pub const BYPASS_CONSEC_MISSES: u64 = 256;
 pub struct CacheConfig {
     /// Hot-generation capacity of the canonical fan cache.
     pub fan_capacity: usize,
-    /// Hot-generation capacity of the canonical family cache.
+    /// Hot-generation capacity of the builder's private family table
+    /// (unused while a shared tier is attached).
     pub family_capacity: usize,
 }
 
@@ -95,211 +100,121 @@ pub(crate) fn family_key(m: u32, dx: u128, yu: u32, yv: u32, order: CrossingOrde
     dx | (yu as u128) << 64 | (yv as u128) << 72 | (m as u128) << 80 | order_bit << 88
 }
 
-/// One cached canonical family: the CSR path set for `Xu = 0`, plus the
-/// plan counts it was built from.
-#[derive(Debug, Clone)]
-struct FamilyEntry {
-    nodes: Box<[u128]>,
-    offsets: Box<[u32]>,
-    rotations: u64,
-    detours: u64,
+/// The one family cache a [`PathBuilder`](crate::PathBuilder) probes:
+/// a private single-shard [`SharedFamilyCache`] table by default, or a
+/// shared tier attached with
+/// [`PathBuilder::attach_shared_cache`](crate::PathBuilder::attach_shared_cache),
+/// which replaces the private table. Both are read through an
+/// `L2Reader`, so a query does one probe and at most one store
+/// whichever it is.
+#[derive(Debug)]
+pub(crate) struct FamilyTier {
+    reader: L2Reader,
+    /// The adaptive bypass of a private table; `None` for a shared tier,
+    /// which keeps storing because other builders replay its entries.
+    bypass: Option<Bypass>,
 }
 
-/// Bounded, generation-swept cache of canonical disjoint-path families;
-/// see the module docs. Owned per [`PathBuilder`](crate::PathBuilder),
-/// so batch workers never contend on it.
-#[derive(Debug)]
-pub struct FamilyCache {
-    capacity: usize,
-    hot: HashMap<u128, FamilyEntry>,
-    cold: HashMap<u128, FamilyEntry>,
-    sweeps: u64,
-    // Adaptive bypass: lifetime probe/hit accounting. When the hit rate
-    // stays under `BYPASS_HIT_FLOOR` after `BYPASS_MIN_PROBES` probes
-    // and the cache has just missed `BYPASS_CONSEC_MISSES` times in a
-    // row, it latches `probe_only`: stored entries keep replaying but
-    // no new ones are inserted, so a churn workload (uniform-random
-    // pairs over a huge key space) stops paying the canonicalise-and-
-    // copy cost of `store` on every query. The transition is one-way
-    // for the cache's lifetime — `clear` drops entries, not the latch.
+/// Adaptive bypass: lifetime probe/hit accounting of a private table.
+/// When the hit rate stays under `BYPASS_HIT_FLOOR` after
+/// `BYPASS_MIN_PROBES` probes and the table has just missed
+/// `BYPASS_CONSEC_MISSES` times in a row, it latches `probe_only`:
+/// stored entries keep replaying but no new ones are inserted, so a
+/// churn workload (uniform-random pairs over a huge key space) stops
+/// paying the canonicalise-and-copy cost of a store on every query.
+/// The latch is one-way for the table's lifetime.
+#[derive(Debug, Default)]
+struct Bypass {
     probes: u64,
     hits: u64,
     consec_misses: u64,
     probe_only: bool,
-    bypass_events: u64,
 }
 
-impl FamilyCache {
-    pub fn new(capacity: usize) -> Self {
-        FamilyCache {
-            capacity,
-            hot: HashMap::new(),
-            cold: HashMap::new(),
-            sweeps: 0,
-            probes: 0,
-            hits: 0,
-            consec_misses: 0,
-            probe_only: false,
-            bypass_events: 0,
+impl Bypass {
+    fn record(&mut self, hit: bool) {
+        self.probes += 1;
+        if hit {
+            self.hits += 1;
+            self.consec_misses = 0;
+            return;
+        }
+        self.consec_misses += 1;
+        self.probe_only |= self.probes >= BYPASS_MIN_PROBES
+            && self.consec_misses >= BYPASS_CONSEC_MISSES
+            && (self.hits as f64) < BYPASS_HIT_FLOOR * self.probes as f64;
+    }
+}
+
+impl FamilyTier {
+    /// A private table holding up to `2 × capacity` families (capacity 0:
+    /// inert, no bypass accounting).
+    pub(crate) fn private(capacity: usize) -> Self {
+        let table = SharedFamilyCache::new(L2Config {
+            shards: 1,
+            shard_capacity: capacity,
+        });
+        FamilyTier {
+            reader: L2Reader::new(Arc::new(table)).promoting(),
+            bypass: Some(Bypass::default()),
         }
     }
 
-    /// Hot-generation capacity this cache was built with.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Entries currently retained (both generations).
-    pub fn len(&self) -> usize {
-        self.hot.len() + self.cold.len()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.hot.is_empty() && self.cold.is_empty()
-    }
-
-    /// Generation sweeps performed so far.
-    pub fn sweeps(&self) -> u64 {
-        self.sweeps
-    }
-
-    /// Lifetime replay probes (capacity-0 caches never account).
-    pub fn probes(&self) -> u64 {
-        self.probes
-    }
-
-    /// Lifetime replay hits.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Whether the adaptive bypass has latched: the cache still replays
-    /// existing entries but no longer inserts new ones.
-    pub fn probe_only(&self) -> bool {
-        self.probe_only
-    }
-
-    /// Number of probe-only transitions over this cache's lifetime
-    /// (0 or 1 per cache; summed across workers in merged metrics).
-    pub fn bypass_events(&self) -> u64 {
-        self.bypass_events
-    }
-
-    /// Drops all entries, keeping the capacity.
-    pub fn clear(&mut self) {
-        self.hot.clear();
-        self.cold.clear();
-    }
-
-    fn make_room(&mut self) {
-        if self.hot.len() >= self.capacity {
-            self.cold = std::mem::take(&mut self.hot);
-            self.sweeps += 1;
+    /// A reader over a tier other builders share.
+    pub(crate) fn shared(l2: Arc<SharedFamilyCache>) -> Self {
+        FamilyTier {
+            reader: L2Reader::new(l2),
+            bypass: None,
         }
     }
 
-    fn get(&mut self, key: u128) -> Option<&FamilyEntry> {
-        if self.capacity == 0 {
-            return None;
-        }
-        if self.hot.contains_key(&key) {
-            return self.hot.get(&key);
-        }
-        if let Some(e) = self.cold.remove(&key) {
-            self.make_room();
-            return Some(self.hot.entry(key).or_insert(e));
-        }
-        None
+    /// Whether this is a shared tier rather than the builder's own table.
+    pub(crate) fn is_shared(&self) -> bool {
+        self.bypass.is_none()
     }
 
-    /// On a hit, writes the cached family translated by `mask` into
-    /// `out` (which must be cleared) and returns its
-    /// `(rotations, detours)` plan counts. Every call on an enabled
-    /// cache counts as one probe for the adaptive bypass; a sustained
-    /// miss streak at a near-zero hit rate latches [`Self::probe_only`].
+    /// Probe-only latches of this table: 0 or 1 (always 0 when shared).
+    pub(crate) fn bypass_events(&self) -> u64 {
+        self.bypass.as_ref().map_or(0, |b| b.probe_only as u64)
+    }
+
+    /// On a hit, appends the cached family translated by `mask` to `out`
+    /// and returns its `(rotations, detours)` plan counts.
     pub(crate) fn replay(
         &mut self,
         key: u128,
         mask: u128,
         out: &mut PathSet,
     ) -> Option<(u64, u64)> {
-        if self.capacity == 0 {
-            return None;
-        }
-        self.probes += 1;
-        let replayed = match self.get(key) {
-            Some(e) => {
-                for w in e.offsets.windows(2) {
-                    for &raw in &e.nodes[w[0] as usize..w[1] as usize] {
-                        out.push_node(NodeId::from_raw(raw ^ mask));
-                    }
-                    out.finish_path();
-                }
-                Some((e.rotations, e.detours))
-            }
-            None => None,
-        };
-        if replayed.is_some() {
-            self.hits += 1;
-            self.consec_misses = 0;
-        } else {
-            self.consec_misses += 1;
-            if !self.probe_only
-                && self.probes >= BYPASS_MIN_PROBES
-                && self.consec_misses >= BYPASS_CONSEC_MISSES
-                && (self.hits as f64) < BYPASS_HIT_FLOOR * self.probes as f64
-            {
-                self.probe_only = true;
-                self.bypass_events += 1;
+        let hit = self.reader.replay(key, mask, out);
+        if let Some(b) = &mut self.bypass {
+            if self.reader.cache().shard_capacity() > 0 {
+                b.record(hit.is_some());
             }
         }
-        replayed
+        hit
     }
 
-    /// Stores the family in `set` (a fresh construction for some pair
-    /// with translation mask `mask`) under `key`, canonicalised to
-    /// `Xu = 0` by XOR-ing `mask` back out.
-    pub(crate) fn store(
-        &mut self,
-        key: u128,
-        mask: u128,
-        set: &PathSet,
-        rotations: u64,
-        detours: u64,
-    ) {
-        if self.capacity == 0 || self.probe_only {
-            return;
+    /// Stores a fresh construction for some pair with translation mask
+    /// `mask` under `key`, unless the bypass has latched.
+    pub(crate) fn store(&self, key: u128, mask: u128, set: &PathSet, rotations: u64, detours: u64) {
+        if !self.bypass.as_ref().is_some_and(|b| b.probe_only) {
+            self.reader.store(key, mask, set, rotations, detours);
         }
-        let mut nodes = Vec::with_capacity(set.total_nodes());
-        let mut offsets = Vec::with_capacity(set.len() + 1);
-        offsets.push(0u32);
-        for path in set.iter() {
-            nodes.extend(path.iter().map(|v| v.raw() ^ mask));
-            offsets.push(nodes.len() as u32);
-        }
-        self.make_room();
-        self.hot.insert(
-            key,
-            FamilyEntry {
-                nodes: nodes.into_boxed_slice(),
-                offsets: offsets.into_boxed_slice(),
-                rotations,
-                detours,
-            },
-        );
     }
 }
 
-impl Default for FamilyCache {
+impl Default for FamilyTier {
     fn default() -> Self {
-        FamilyCache::new(DEFAULT_FAMILY_CACHE_CAPACITY)
+        FamilyTier::private(DEFAULT_FAMILY_CACHE_CAPACITY)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::disjoint::PathBuilder;
+    use crate::node::NodeId;
 
     #[test]
     fn keys_separate_every_component() {
@@ -315,41 +230,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn store_replay_round_trips_translation() {
-        let mut cache = FamilyCache::new(8);
-        let mut set = PathSet::new();
-        for p in [[5u128, 7, 9], [5, 6, 9]] {
-            for raw in p {
-                set.push_node(NodeId::from_raw(raw));
-            }
-            set.finish_path();
-        }
-        cache.store(1, 4, &set, 2, 1);
-        // Replaying with a different mask translates node-wise.
-        let mut out = PathSet::new();
-        let (nr, nd) = cache.replay(1, 8, &mut out).unwrap();
-        assert_eq!((nr, nd), (2, 1));
-        let expect: Vec<u128> = [5u128, 7, 9, 5, 6, 9].iter().map(|r| r ^ 4 ^ 8).collect();
-        let got: Vec<u128> = out.iter().flatten().map(|v| v.raw()).collect();
-        assert_eq!(got, expect);
-        assert!(cache.replay(2, 0, &mut PathSet::new()).is_none());
-    }
-
-    #[test]
-    fn capacity_zero_is_inert() {
-        let mut cache = FamilyCache::new(0);
-        let mut set = PathSet::new();
-        set.push_node(NodeId::from_raw(3));
-        set.finish_path();
-        cache.store(1, 0, &set, 0, 1);
-        assert!(cache.replay(1, 0, &mut PathSet::new()).is_none());
-        assert!(cache.is_empty());
-        // A disabled cache does no bypass accounting either.
-        assert_eq!(cache.probes(), 0);
-        assert!(!cache.probe_only());
-    }
-
     fn one_path_set() -> PathSet {
         let mut set = PathSet::new();
         set.push_node(NodeId::from_raw(3));
@@ -357,39 +237,99 @@ mod tests {
         set
     }
 
+    /// A builder whose private family table holds `capacity` entries
+    /// per generation.
+    fn builder(capacity: usize) -> PathBuilder {
+        PathBuilder::with_caches(CacheConfig {
+            fan_capacity: 0,
+            family_capacity: capacity,
+        })
+    }
+
+    #[test]
+    fn capacity_zero_is_inert() {
+        let mut b = builder(0);
+        b.family.store(1, 0, &one_path_set(), 0, 1);
+        assert!(b.family.replay(1, 0, &mut PathSet::new()).is_none());
+        assert!(b.family.reader.cache().is_empty());
+        // A disabled table does no bypass accounting either.
+        let bypass = b.family.bypass.as_ref().expect("private table");
+        assert_eq!(bypass.probes, 0);
+        assert!(!bypass.probe_only);
+    }
+
     #[test]
     fn bypass_latches_after_sustained_misses_and_stops_inserting() {
-        let mut cache = FamilyCache::new(8);
+        let mut b = builder(8);
         let set = one_path_set();
         // An entry stored before the latch keeps replaying after it.
-        cache.store(u128::MAX, 0, &set, 1, 0);
+        b.family.store(u128::MAX, 0, &set, 1, 0);
         let mut out = PathSet::new();
         for key in 0..BYPASS_MIN_PROBES as u128 {
-            assert!(cache.replay(key, 0, &mut out).is_none());
+            assert!(b.family.replay(key, 0, &mut out).is_none());
         }
-        assert!(cache.probe_only(), "miss streak should latch probe-only");
-        assert_eq!(cache.bypass_events(), 1);
-        assert_eq!(cache.probes(), BYPASS_MIN_PROBES);
+        assert_eq!(
+            b.family.bypass_events(),
+            1,
+            "miss streak should latch probe-only"
+        );
+        assert_eq!(b.metrics().construction.family_bypass_events, 1);
+        assert_eq!(b.family.bypass.as_ref().unwrap().probes, BYPASS_MIN_PROBES);
         // Latched: store is a no-op...
-        let before = cache.len();
-        cache.store(42, 0, &set, 0, 1);
-        assert_eq!(cache.len(), before);
-        assert!(cache.replay(42, 0, &mut out).is_none());
+        let before = b.family.reader.cache().len();
+        b.family.store(42, 0, &set, 0, 1);
+        assert_eq!(b.family.reader.cache().len(), before);
+        assert!(b.family.replay(42, 0, &mut out).is_none());
         // ...but pre-latch entries still hit, and the event count stays 1.
-        assert!(cache.replay(u128::MAX, 0, &mut out).is_some());
-        assert_eq!(cache.bypass_events(), 1);
+        assert!(b.family.replay(u128::MAX, 0, &mut out).is_some());
+        assert_eq!(b.family.bypass_events(), 1);
     }
 
     #[test]
     fn bypass_never_latches_while_the_cache_is_useful() {
-        let mut cache = FamilyCache::new(8);
-        cache.store(7, 0, &one_path_set(), 1, 0);
+        let mut b = builder(8);
+        b.family.store(7, 0, &one_path_set(), 1, 0);
         let mut out = PathSet::new();
         for _ in 0..4 * BYPASS_MIN_PROBES {
-            assert!(cache.replay(7, 0, &mut out).is_some());
+            assert!(b.family.replay(7, 0, &mut out).is_some());
         }
-        assert!(!cache.probe_only());
-        assert_eq!(cache.bypass_events(), 0);
-        assert_eq!(cache.hits(), cache.probes());
+        assert_eq!(b.family.bypass_events(), 0);
+        let bypass = b.family.bypass.as_ref().unwrap();
+        assert_eq!(bypass.hits, bypass.probes);
+    }
+
+    #[test]
+    fn a_private_table_promotes_cold_hits() {
+        let mut b = builder(2);
+        let set = one_path_set();
+        for key in 0..3 {
+            b.family.store(key, 0, &set, key as u64, 0);
+        }
+        // Keys 0 and 1 now sit in the cold generation. Hitting 0 moves it
+        // back to the hot one, so the next rotation drops 1 but keeps 0.
+        let mut out = PathSet::new();
+        assert!(b.family.replay(0, 0, &mut out).is_some());
+        b.family.store(3, 0, &set, 3, 0);
+        assert_eq!(b.family.replay(0, 0, &mut out), Some((0, 0)));
+        assert!(b.family.replay(1, 0, &mut out).is_none());
+    }
+
+    #[test]
+    fn a_shared_tier_never_latches() {
+        // The shared tier keeps storing however badly it hits: other
+        // builders replay what this one stores.
+        let l2 = Arc::new(SharedFamilyCache::new(L2Config {
+            shards: 1,
+            shard_capacity: 8,
+        }));
+        let mut b = builder(8);
+        b.attach_shared_cache(Arc::clone(&l2));
+        let mut out = PathSet::new();
+        for key in 0..2 * BYPASS_MIN_PROBES as u128 {
+            assert!(b.family.replay(key, 0, &mut out).is_none());
+        }
+        b.family.store(42, 0, &one_path_set(), 0, 1);
+        assert_eq!(b.family.bypass_events(), 0);
+        assert!(b.family.replay(42, 0, &mut out).is_some());
     }
 }

@@ -35,7 +35,7 @@ use crate::node::NodeId;
 use crate::pathset::PathSet;
 use crate::topology::Hhc;
 use crate::Path;
-use family_cache::{CacheConfig, FamilyCache};
+use family_cache::{CacheConfig, FamilyTier};
 use hypercube::{FanCache, FanScratch};
 use plan::{assemble_into, CrossingPlan};
 
@@ -126,15 +126,11 @@ pub struct PathBuilder {
     avoid_state: Vec<u8>,
     avoid_sel: Vec<u32>,
     // Symmetry caches (see `family_cache` and `hypercube::fancache`):
-    // canonical fan solutions shared by both terminal engines, and whole
-    // canonical families. Owned per builder — batch workers never lock.
+    // canonical fan solutions shared by both terminal engines, owned per
+    // builder; and the one family cache — a private table, or a shared
+    // tier once attached — read through a per-builder lock-free reader.
     fan_cache: FanCache,
-    family_cache: FamilyCache,
-    // Optional shared L2 family tier (see `crate::service`), probed
-    // between an L1 miss and a fresh construction, through a per-builder
-    // reader (lock-free probes). `None` (the default) keeps the builder
-    // fully self-contained.
-    shared_cache: Option<crate::service::L2Reader>,
+    family: FamilyTier,
     // Observability: monotone counters plus opt-in per-query timing.
     metrics: ConstructionMetrics,
     timing_enabled: bool,
@@ -154,38 +150,25 @@ impl PathBuilder {
         b
     }
 
-    /// Replaces both symmetry caches with empty ones of the given
-    /// capacities. Results are unaffected (caching is exact); only
-    /// memoisation behaviour and memory use change.
+    /// Replaces both symmetry caches with empty private ones of the
+    /// given capacities, detaching any shared tier. Results are
+    /// unaffected (caching is exact); only memoisation behaviour and
+    /// memory use change.
     pub fn set_cache_config(&mut self, cfg: CacheConfig) {
         self.fan_cache = FanCache::new(cfg.fan_capacity);
-        self.family_cache = FamilyCache::new(cfg.family_capacity);
+        self.family = FamilyTier::private(cfg.family_capacity);
     }
 
-    /// The family cache, for capacity/occupancy introspection.
-    pub fn family_cache(&self) -> &FamilyCache {
-        &self.family_cache
-    }
-
-    /// Attaches a shared L2 family tier: after the per-builder L1
-    /// misses, queries probe `l2` through a per-builder reader (one
-    /// atomic load, no lock — see `crate::service::shared`) before
-    /// constructing, and fresh constructions are promoted into both
-    /// tiers. Caching stays exact — replays are byte-identical to fresh
-    /// constructions — so results are unaffected. `l2_hits`/`l2_misses`
-    /// in [`ConstructionMetrics`] account the new tier.
+    /// Makes `l2` this builder's family cache, replacing its private
+    /// table: queries probe `l2` through a per-builder reader (one
+    /// atomic load, no lock — see `crate::service::shared`) and fresh
+    /// constructions are stored into it for every builder that shares
+    /// it. Caching stays exact — replays are byte-identical to fresh
+    /// constructions — so results are unaffected. Its hits and misses
+    /// are counted as `l2_hits`/`l2_misses` in [`ConstructionMetrics`],
+    /// a private table's hits as `family_hits`.
     pub fn attach_shared_cache(&mut self, l2: std::sync::Arc<crate::service::SharedFamilyCache>) {
-        self.shared_cache = Some(crate::service::L2Reader::new(l2));
-    }
-
-    /// Detaches the shared L2 tier (the builder keeps its L1).
-    pub fn detach_shared_cache(&mut self) {
-        self.shared_cache = None;
-    }
-
-    /// The attached shared L2 tier, if any.
-    pub fn shared_cache(&self) -> Option<&std::sync::Arc<crate::service::SharedFamilyCache>> {
-        self.shared_cache.as_ref().map(|r| r.cache())
+        self.family = FamilyTier::shared(l2);
     }
 
     /// The shared canonical fan cache, for capacity/occupancy
@@ -212,7 +195,7 @@ impl PathBuilder {
         // Read live from the cache rather than a counter: the bypass
         // latch outlives `reset_metrics` (it describes cache state, not
         // a window of queries).
-        construction.family_bypass_events = self.family_cache.bypass_events();
+        construction.family_bypass_events = self.family.bypass_events();
         MetricsReport {
             construction,
             src_fan: self.src_fan.metrics(),
@@ -356,55 +339,27 @@ fn construct_into(
     // Family cache: the construction is equivariant under cube-field
     // translation (plan selection reads only dx/Yu/Yv/m/order; assembly
     // threads cube fields through XORs), so families are cached for the
-    // canonical source cube X = 0 and replayed translated by Xu. Traced
-    // queries bypass the cache — a replay has no plan internals to report.
+    // canonical source cube X = 0 and replayed translated by Xu. Entries
+    // are canonical families stored by some exact construction, so a
+    // replay is byte-identical to constructing here. Traced queries skip
+    // the probe — a replay has no plan internals to report.
     let dx = hhc.cube_field(u) ^ hhc.cube_field(v);
     let key = family_cache::family_key(hhc.m(), dx, hhc.node_field(u), hhc.node_field(v), order);
     let mask = hhc.cube_field(u) << hhc.m();
     if !want_trace {
-        if let Some((nr, nd)) = scratch.family_cache.replay(key, mask, out) {
+        let shared = scratch.family.is_shared();
+        if let Some((nr, nd)) = scratch.family.replay(key, mask, out) {
             let m = &mut scratch.metrics;
-            m.queries += 1;
-            m.family_hits += 1;
-            if same {
-                m.same_cube += 1;
+            if shared {
+                m.l2_hits += 1;
             } else {
-                m.cross_cube += 1;
-                m.family_hits_cross += 1;
+                m.family_hits += 1;
             }
-            m.rotation_plans += nr;
-            m.detour_plans += nd;
-            if let Some(t0) = t0 {
-                m.timing.record_ns(t0.elapsed().as_nanos() as u64);
-            }
+            m.family_hits_cross += !same as u64;
+            count_query(m, same, nr, nd, t0);
             return Ok(None);
         }
-        // L1 missed: probe the shared L2 tier (if attached) and promote
-        // a hit into the L1 so the next repeat stays local. Entries are
-        // canonical families stored by some worker's exact construction,
-        // so the replay is byte-identical to constructing here.
-        if let Some(reader) = scratch.shared_cache.as_mut() {
-            let replayed = reader.replay(key, mask, out);
-            if let Some((nr, nd)) = replayed {
-                scratch.family_cache.store(key, mask, out, nr, nd);
-                let m = &mut scratch.metrics;
-                m.queries += 1;
-                m.l2_hits += 1;
-                if same {
-                    m.same_cube += 1;
-                } else {
-                    m.cross_cube += 1;
-                    m.family_hits_cross += 1;
-                }
-                m.rotation_plans += nr;
-                m.detour_plans += nd;
-                if let Some(t0) = t0 {
-                    m.timing.record_ns(t0.elapsed().as_nanos() as u64);
-                }
-                return Ok(None);
-            }
-            scratch.metrics.l2_misses += 1;
-        }
+        scratch.metrics.l2_misses += shared as u64;
     }
 
     let result = if same {
@@ -420,24 +375,33 @@ fn construct_into(
         } else {
             (scratch.rot_sel.len() as u64, scratch.det_sel.len() as u64)
         };
-        scratch.family_cache.store(key, mask, out, nr, nd);
-        if let Some(l2) = &scratch.shared_cache {
-            l2.store(key, mask, out, nr, nd);
-        }
-        let m = &mut scratch.metrics;
-        m.queries += 1;
-        if same {
-            m.same_cube += 1;
-        } else {
-            m.cross_cube += 1;
-        }
-        m.rotation_plans += nr;
-        m.detour_plans += nd;
-        if let Some(t0) = t0 {
-            m.timing.record_ns(t0.elapsed().as_nanos() as u64);
-        }
+        scratch.family.store(key, mask, out, nr, nd);
+        count_query(&mut scratch.metrics, same, nr, nd, t0);
     }
     result
+}
+
+/// Counts one answered query — its case, its plan counts and, when
+/// timing is on, its duration since `t0` — whether it was replayed or
+/// built.
+fn count_query(
+    m: &mut ConstructionMetrics,
+    same: bool,
+    rotations: u64,
+    detours: u64,
+    t0: Option<std::time::Instant>,
+) {
+    m.queries += 1;
+    if same {
+        m.same_cube += 1;
+    } else {
+        m.cross_cube += 1;
+    }
+    m.rotation_plans += rotations;
+    m.detour_plans += detours;
+    if let Some(t0) = t0 {
+        m.timing.record_ns(t0.elapsed().as_nanos() as u64);
+    }
 }
 
 /// Case A: both nodes in the same son-cube.
@@ -735,6 +699,42 @@ mod tests {
         // Fans cover m coordinates per side.
         assert_eq!(trace.source_fan_targets.len(), h.m() as usize);
         assert_eq!(trace.target_fan_targets.len(), h.m() as usize);
+    }
+
+    #[test]
+    fn an_attached_shared_tier_replaces_the_private_table() {
+        use crate::service::{L2Config, SharedFamilyCache};
+        use std::sync::Arc;
+        let h = Hhc::new(3).unwrap();
+        let u = h.node(0x01, 0b001).unwrap();
+        let v = h.node(0x3C, 0b100).unwrap();
+        let mut out = PathSet::new();
+        let mut first = PathBuilder::new();
+        disjoint_paths_into(&h, u, v, CrossingOrder::Gray, &mut out, &mut first).unwrap();
+        disjoint_paths_into(&h, u, v, CrossingOrder::Gray, &mut out, &mut first).unwrap();
+        assert_eq!(
+            first.metrics().construction.family_hits,
+            1,
+            "private replay"
+        );
+        let want = out.clone();
+
+        // Attached, the builder probes the (empty) shared tier only: the
+        // privately stored family is not replayed.
+        let l2 = Arc::new(SharedFamilyCache::new(L2Config::enabled()));
+        first.attach_shared_cache(Arc::clone(&l2));
+        disjoint_paths_into(&h, u, v, CrossingOrder::Gray, &mut out, &mut first).unwrap();
+        let c = first.metrics().construction;
+        assert_eq!((c.family_hits, c.l2_hits, c.l2_misses), (1, 0, 1));
+        assert_eq!(out, want);
+
+        // A second builder on the same tier replays what the first stored.
+        let mut second = PathBuilder::with_caches(CacheConfig::disabled());
+        second.attach_shared_cache(l2);
+        disjoint_paths_into(&h, u, v, CrossingOrder::Gray, &mut out, &mut second).unwrap();
+        let c = second.metrics().construction;
+        assert_eq!((c.family_hits, c.l2_hits, c.l2_misses), (0, 1, 0));
+        assert_eq!(out, want);
     }
 
     #[test]

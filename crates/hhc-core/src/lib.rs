@@ -34,8 +34,8 @@
 //! * [`wide`] — empirical wide-diameter search over node pairs;
 //! * [`collectives`] — one-port broadcast schedules (extension feature);
 //! * [`service`] — the concurrent routing service: a [`Router`] worker
-//!   pool over a tiered (per-worker L1 / shared sharded L2) family
-//!   cache with a live fault feed.
+//!   pool sharing one sharded family cache (the L2 tier) with a live
+//!   fault feed.
 //!
 //! ## Example
 //!
@@ -70,7 +70,7 @@ pub mod wide;
 
 pub use batch::{construct_many, construct_many_serial, Workspace};
 pub use disjoint::family_cache::{
-    CacheConfig, FamilyCache, BYPASS_CONSEC_MISSES, BYPASS_HIT_FLOOR, BYPASS_MIN_PROBES,
+    CacheConfig, BYPASS_CONSEC_MISSES, BYPASS_HIT_FLOOR, BYPASS_MIN_PROBES,
     DEFAULT_FAMILY_CACHE_CAPACITY,
 };
 pub use disjoint::{

@@ -42,18 +42,21 @@ pub struct ConstructionMetrics {
     /// `rotation_plans + detour_plans = degree·cross_cube + same_cube`
     /// holds with or without caching.
     pub detour_plans: u64,
-    /// Queries answered by replaying a translation-canonical cached
-    /// family (no fans, no flow solves).
+    /// Queries answered by replaying a translation-canonical family from
+    /// the builder's private family table (no fans, no flow solves).
+    /// Always zero while a shared tier is attached — its hits are
+    /// `l2_hits`.
     pub family_hits: u64,
-    /// Cross-cube queries answered from *any* family-cache tier — the
-    /// per-builder L1 or an attached shared L2 — i.e. the ones that
-    /// would otherwise have issued two fan queries each. This is what
-    /// keeps the `fan_queries` conservation law tier-agnostic; the
-    /// L1-only subset is `family_hits` minus same-cube hits.
+    /// Cross-cube queries answered from the family cache — the private
+    /// table or an attached shared tier — i.e. the ones that would
+    /// otherwise have issued two fan queries each. This is what keeps
+    /// the `fan_queries` conservation law independent of which cache a
+    /// builder holds.
     pub family_hits_cross: u64,
-    /// Family caches that latched adaptive probe-only mode (stopped
-    /// inserting after a sustained near-zero hit rate); 0 or 1 per
-    /// builder, summed across workers by [`merge`](Self::merge).
+    /// Private family tables that latched adaptive probe-only mode
+    /// (stopped inserting after a sustained near-zero hit rate); 0 or 1
+    /// per builder, summed across workers by [`merge`](Self::merge). A
+    /// shared tier never latches: other builders replay its entries.
     /// Lifetime-of-cache: unlike the counters above it survives
     /// [`PathBuilder::reset_metrics`](crate::PathBuilder::reset_metrics)
     /// and resets only when the cache itself is replaced.
@@ -65,18 +68,17 @@ pub struct ConstructionMetrics {
     /// because a fault blocked their trajectory or terminal stub.
     pub fault_avoided_plans: u64,
     /// Queries answered by replaying a family from an attached shared L2
-    /// tier ([`SharedFamilyCache`](crate::service::SharedFamilyCache))
-    /// after the per-builder L1 missed. Zero unless a shared cache is
-    /// attached.
+    /// tier ([`SharedFamilyCache`](crate::service::SharedFamilyCache)).
+    /// Zero unless a shared cache is attached.
     pub l2_hits: u64,
-    /// L1-miss queries that also missed the attached shared L2 tier and
-    /// fell through to a fresh construction. For untraced queries on a
-    /// builder with an attached L2,
-    /// `queries == family_hits + l2_hits + l2_misses`.
+    /// Queries that missed the attached shared L2 tier and fell through
+    /// to a fresh construction. For untraced queries on a builder with
+    /// an attached L2, `queries == l2_hits + l2_misses` (and
+    /// `family_hits == 0`).
     pub l2_misses: u64,
     /// L2-replayed families that the fault-avoiding layer then found
     /// blocked by the live fault set and repaired via the rebuild path —
-    /// the lazy invalidation events of the tiered cache. Always
+    /// the lazy invalidation events of the shared cache. Always
     /// `≤ min(l2_hits, fault_reroutes)`.
     pub l2_invalidations: u64,
     /// Fault-set generation the serving layer last stamped on this

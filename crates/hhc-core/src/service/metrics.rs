@@ -11,8 +11,8 @@
 //! Deltas use `saturating_sub` because two counters can legitimately
 //! step backwards between publications: `family_bypass_events` is
 //! lifetime-of-cache (it resets when
-//! [`Router::flush_caches`](super::Router::flush_caches) replaces the
-//! L1), and a flush likewise rebuilds the whole builder-side report.
+//! [`Router::flush_caches`](super::Router::flush_caches) replaces a
+//! worker's private family table).
 //! Saturation turns such resets into "no new events this batch", which
 //! keeps every published total monotone. `fault_generation` is a gauge,
 //! not a counter: publish takes `fetch_max`, merge takes `max`, same as

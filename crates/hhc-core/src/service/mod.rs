@@ -1,18 +1,21 @@
 //! Concurrent routing service: a long-lived [`Router`] answering
-//! disjoint-path queries from a tiered family cache under a live fault
+//! disjoint-path queries from a shared family cache under a live fault
 //! feed.
 //!
 //! Every earlier consumer of the construction engine is a closed-loop
 //! batch ([`crate::batch`], the experiment drivers, the DES). This
 //! module turns the library into a serving system: a pool of worker
-//! threads, each owning a [`PathBuilder`] (the per-worker **L1** — the
-//! existing caches, semantics unchanged), layered over one process-wide
-//! [`SharedFamilyCache`] (**L2** — per-shard append-only probe tables of
-//! write-once slots, keyed by the same canonical `(m, Xu⊕Xv, Yu, Yv,
-//! order)` signature; see [`shared`](self) module docs for the
-//! lock-free read path). A query is answered L1 → L2 → construct; misses
-//! are promoted into both tiers — an L2 store fills one vacant slot, so
-//! one worker's solve warms every other worker at O(1) cost.
+//! threads, each owning a [`PathBuilder`], all sharing one process-wide
+//! [`SharedFamilyCache`] (the **L2** tier — per-shard append-only probe
+//! tables of write-once slots, keyed by the canonical `(m, Xu⊕Xv, Yu,
+//! Yv, order)` signature; see [`shared`](self) module docs for the
+//! lock-free read path). The shared tier *is* each worker's family
+//! cache — it replaces the builder's private table rather than sitting
+//! behind one — so a query does one probe and, on a miss, constructs
+//! and stores once: the store fills one vacant slot, so one worker's
+//! solve warms every other worker at O(1) cost. Each worker keeps only
+//! its own fan cache. With the tier disabled ([`L2Config::disabled`])
+//! each worker falls back to a private family table.
 //!
 //! ## Steady-state allocation discipline
 //!
@@ -86,10 +89,12 @@ pub struct RouterConfig {
     pub threads: usize,
     /// Crossing order every answer uses.
     pub order: CrossingOrder,
-    /// Per-worker L1 cache capacities.
+    /// Per-worker cache capacities: the fan cache always, the private
+    /// family table only when the shared tier is disabled (an enabled
+    /// tier replaces it).
     pub l1: CacheConfig,
     /// Shared L2 tier geometry ([`L2Config::disabled`] gives the
-    /// per-worker-cache-only baseline).
+    /// per-worker private-table baseline).
     pub l2: L2Config,
 }
 
@@ -389,8 +394,9 @@ impl Router {
         self.shared.generation()
     }
 
-    /// Drops the L2 tier and tells every worker to replace its L1 with
-    /// a fresh one before its next batch. This is the
+    /// Drops the shared tier's entries and tells every worker to empty
+    /// its own caches (its fan cache, and its private family table when
+    /// the tier is disabled) before its next batch. This is the
     /// full-rebuild-on-fault baseline the bench ablates against — the
     /// serving path never calls it (lazy invalidation makes it
     /// unnecessary).
@@ -528,9 +534,20 @@ struct WorkerCtx {
     results_tx: mpsc::Sender<Batch>,
 }
 
+impl WorkerCtx {
+    /// Gives `builder` empty fan caches and its one family cache: the
+    /// shared tier when it is enabled, else a private table.
+    fn reset_caches(&self, builder: &mut PathBuilder) {
+        builder.set_cache_config(self.l1);
+        if self.shared.shard_capacity() > 0 {
+            builder.attach_shared_cache(Arc::clone(&self.shared));
+        }
+    }
+}
+
 fn worker_loop(ctx: WorkerCtx, rx: mpsc::Receiver<Batch>) {
-    let mut builder = PathBuilder::with_caches(ctx.l1);
-    builder.attach_shared_cache(Arc::clone(&ctx.shared));
+    let mut builder = PathBuilder::new();
+    ctx.reset_caches(&mut builder);
     let mut out = PathSet::new();
     let mut local_faults: HashSet<NodeId> = HashSet::new();
     let mut local_gen = ctx.shared.faults_snapshot_into(&mut local_faults);
@@ -542,7 +559,7 @@ fn worker_loop(ctx: WorkerCtx, rx: mpsc::Receiver<Batch>) {
         let fe = ctx.flush_epoch.load(Ordering::Acquire);
         if fe != seen_flush {
             seen_flush = fe;
-            builder.set_cache_config(ctx.l1);
+            ctx.reset_caches(&mut builder);
         }
         batch.result.clear();
         for &(u, v) in &batch.pairs {
@@ -685,6 +702,39 @@ mod tests {
         assert_eq!(c.queries, 8);
         assert_eq!(c.l2_misses, 1, "only the first query constructs");
         assert_eq!(c.family_hits + c.l2_hits, 7);
+    }
+
+    #[test]
+    fn the_shared_tier_is_the_only_family_cache() {
+        let mut router = Router::new(3, cfg(2)).unwrap();
+        let h = Hhc::new(3).unwrap();
+        let pairs = workload_pairs(&h, 24);
+        router.query_many(&pairs);
+        router.query_many(&pairs);
+        let c = router.metrics().construction;
+        assert_eq!(c.queries, 48);
+        assert_eq!(c.family_hits, 0, "no private table sits in front");
+        assert_eq!(c.l2_hits + c.l2_misses, c.queries, "one probe per query");
+        assert!(c.l2_hits >= 24, "the repeated batch replays");
+    }
+
+    #[test]
+    fn without_a_shared_tier_workers_keep_private_tables() {
+        let mut router = Router::new(
+            3,
+            RouterConfig {
+                l2: L2Config::disabled(),
+                ..cfg(2)
+            },
+        )
+        .unwrap();
+        let h = Hhc::new(3).unwrap();
+        let pairs = workload_pairs(&h, 24);
+        let first = router.query_many(&pairs);
+        assert_eq!(router.query_many(&pairs), first);
+        let c = router.metrics().construction;
+        assert!(c.family_hits > 0, "the repeated batch replays privately");
+        assert_eq!(c.l2_hits + c.l2_misses, 0, "no shared tier to probe");
     }
 
     #[test]

@@ -1,11 +1,15 @@
-//! The shared L2 tier: an append-only, read-lock-free family cache plus
-//! the live fault set and its generation counter.
+//! The family-cache table: an append-only, read-lock-free cache of
+//! canonical families plus the live fault set and its generation
+//! counter.
 //!
-//! Entries are the same translation-canonical families the per-builder
-//! [`FamilyCache`](crate::FamilyCache) stores (CSR node list for
-//! `Xu = 0`, plus the plan counts), keyed by the same
-//! `(m, Xu⊕Xv, Yu, Yv, order)` key — so one stored solve serves every
-//! worker and every cube-field translation.
+//! It is the one family-cache implementation. Every
+//! [`PathBuilder`](crate::PathBuilder) holds one: a private single-shard
+//! table by default, or — in the router — one sharded table shared by
+//! every worker (the L2 tier) in place of the private ones. Entries are
+//! translation-canonical families (CSR node list for `Xu = 0`, plus the
+//! plan counts) keyed by `(m, Xu⊕Xv, Yu, Yv, order)`, so one stored
+//! solve serves every builder sharing the table and every cube-field
+//! translation.
 //!
 //! ## Append-only generations
 //!
@@ -20,10 +24,10 @@
 //!   long, so it always keeps a vacant slot and every probe ends.
 //!   The hot table is allocated by its first store, so an empty shard
 //!   costs nothing.
-//! * A writer (a cache-miss promotion) takes a small per-shard mutex,
-//!   returns if the key is in either generation, and otherwise fills
-//!   one vacant hot slot with `OnceLock::set` — O(1), nothing else is
-//!   touched or copied.
+//! * A writer (storing a cache miss's construction) takes a small
+//!   per-shard mutex, returns if the key is in either generation, and
+//!   otherwise fills one vacant hot slot with `OnceLock::set` — O(1),
+//!   nothing else is touched or copied.
 //! * Readers hold a per-worker [`L2Reader`] that caches one `Gens` `Arc`
 //!   per shard. A probe is one `Acquire` load of the shard version and
 //!   a probe of the locally held tables: **no lock, no reference-count
@@ -73,11 +77,13 @@
 //! repair, and they become servable again the moment the fault clears —
 //! no eager scan, no cache discard.
 //!
-//! Eviction mirrors the L1: two generations per shard ("hot"/"cold"),
-//! a full hot table becomes the cold table, bounding each shard at
-//! `2 × shard_capacity` entries. There is no cold→hot promotion on a
-//! hit — promotion would put a write on the read path, and the L1 in
-//! front of this tier already keeps the genuinely hot keys local.
+//! Eviction: two generations per shard ("hot"/"cold"), a full hot
+//! table becomes the cold table, bounding each shard at
+//! `2 × shard_capacity` live keys. The shared tier has no cold→hot
+//! promotion on a hit — promotion would put a write on its read path.
+//! A builder's private table does promote (see `L2Reader::promoting`):
+//! a cold hit re-stores the entry into the hot table, so a key that
+//! keeps hitting outlives the rotation that drops its cold copy.
 
 use crate::node::NodeId;
 use crate::pathset::PathSet;
@@ -135,7 +141,7 @@ impl Default for L2Config {
 /// One cached canonical family: a contiguous CSR node/offset slab plus
 /// the plan counts of the construction that produced it. Immutable once
 /// stored; owned by the generation table it was stored into.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct SharedEntry {
     nodes: Box<[u128]>,
     offsets: Box<[u32]>,
@@ -171,14 +177,17 @@ struct Gens {
 }
 
 impl Gens {
-    /// Looks `key` up in the hot generation, then the cold one.
+    /// Looks `key` up in the hot generation, then the cold one; the flag
+    /// is set when the entry came from the cold one.
     #[inline]
-    fn get(&self, h: u64, key: u128) -> Option<&SharedEntry> {
-        self.hot
-            .get()
-            .into_iter()
-            .chain(&self.cold)
-            .find_map(|t| probe(t, h, key))
+    fn get(&self, h: u64, key: u128) -> Option<(&SharedEntry, bool)> {
+        if let Some(e) = self.hot.get().and_then(|t| probe(t, h, key)) {
+            return Some((e, false));
+        }
+        self.cold
+            .as_ref()
+            .and_then(|t| probe(t, h, key))
+            .map(|e| (e, true))
     }
 }
 
@@ -244,21 +253,23 @@ fn fold_mix(key: u128) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The shared L2 family-cache tier plus the live fault set it is
-/// invalidated against. See the module docs.
+/// The family-cache table plus the live fault set it is invalidated
+/// against. See the module docs.
 ///
-/// All methods take `&self`; the type is `Sync` and meant to live in an
-/// [`Arc`] shared by every worker's
-/// [`PathBuilder`](crate::PathBuilder) (attached via
+/// All methods take `&self`; the type is `Sync`. Shared, it lives in an
+/// [`Arc`] held by every worker's [`PathBuilder`](crate::PathBuilder)
+/// (attached via
 /// [`PathBuilder::attach_shared_cache`](crate::PathBuilder::attach_shared_cache),
-/// which wraps it in a per-worker `L2Reader`).
+/// which wraps it in a per-worker `L2Reader`); a builder without one
+/// keeps a private single-shard instance.
 #[derive(Debug)]
 pub struct SharedFamilyCache {
     shards: Box<[ShardState]>,
     shard_mask: usize,
     shard_capacity: usize,
     /// Bumped once per fault-set mutation, while the fault write lock is
-    /// held; readers pair it with the set via [`Self::faults_snapshot`].
+    /// held; readers pair it with the set via
+    /// [`Self::faults_snapshot_into`].
     generation: AtomicU64,
     faults: RwLock<HashSet<NodeId>>,
 }
@@ -337,19 +348,14 @@ impl SharedFamilyCache {
         removed
     }
 
-    /// A consistent `(generation, fault set)` pair: the generation is
-    /// read under the same read lock that guards the clone, so it never
-    /// lags the set. Workers re-snapshot only when
-    /// [`Self::generation`] moves — the epoch scheme's fast path is one
-    /// atomic load per query.
-    pub fn faults_snapshot(&self) -> (u64, HashSet<NodeId>) {
-        let f = self.faults.read().unwrap_or_else(PoisonError::into_inner);
-        (self.generation.load(Ordering::Acquire), f.clone())
-    }
-
-    /// [`Self::faults_snapshot`] into a caller-owned set (capacity is
-    /// reused, so a long-lived worker re-snapshots without allocating
-    /// once its set has grown to the high-water fault count).
+    /// Copies the fault set into a caller-owned set and returns its
+    /// generation: a consistent pair, since the generation is read under
+    /// the same read lock that guards the copy, so it never lags the set.
+    /// Workers re-snapshot only when [`Self::generation`] moves — the
+    /// epoch scheme's fast path is one atomic load per query — and the
+    /// set's capacity is reused, so a long-lived worker re-snapshots
+    /// without allocating once its set has grown to the high-water fault
+    /// count.
     pub fn faults_snapshot_into(&self, out: &mut HashSet<NodeId>) -> u64 {
         let f = self.faults.read().unwrap_or_else(PoisonError::into_inner);
         out.clone_from(&f);
@@ -393,10 +399,17 @@ impl SharedFamilyCache {
             rotations,
             detours,
         };
+        self.insert(key, entry, false);
+    }
+
+    /// Fills a vacant hot slot with `entry` unless `key` is already
+    /// stored — in the hot generation only, when `promote` re-stores a
+    /// cold entry.
+    fn insert(&self, key: u128, entry: SharedEntry, promote: bool) {
         let h = fold_mix(key);
         let shard = self.shard_of(h);
         let mut w = shard.lock();
-        if w.gens.get(h, key).is_some() {
+        if matches!(w.gens.get(h, key), Some((_, cold)) if !(promote && cold)) {
             return;
         }
         if w.hot_len >= self.shard_capacity {
@@ -443,13 +456,16 @@ struct LocalShard {
 /// let go of are freed when their last holder refreshes (plain `Arc`
 /// reclamation — see the module docs).
 ///
-/// Created by
-/// [`PathBuilder::attach_shared_cache`](crate::PathBuilder::attach_shared_cache);
-/// one reader per builder/worker.
+/// One reader per builder: over its private table, or over the shared
+/// tier attached with
+/// [`PathBuilder::attach_shared_cache`](crate::PathBuilder::attach_shared_cache).
 #[derive(Debug)]
 pub(crate) struct L2Reader {
     cache: Arc<SharedFamilyCache>,
     local: Box<[LocalShard]>,
+    /// Whether a cold-generation hit is re-stored into the hot one; see
+    /// [`Self::promoting`].
+    promote: bool,
 }
 
 impl L2Reader {
@@ -468,10 +484,23 @@ impl L2Reader {
                 }
             })
             .collect();
-        L2Reader { cache, local }
+        L2Reader {
+            cache,
+            local,
+            promote: false,
+        }
     }
 
-    /// The shared tier this reader probes.
+    /// Makes every cold-generation hit re-store its entry into the hot
+    /// generation, so keys that keep hitting survive rotations. Only for
+    /// a builder's private table: its one reader is its only writer, so
+    /// the write on the read path contends with nobody.
+    pub(crate) fn promoting(mut self) -> Self {
+        self.promote = true;
+        self
+    }
+
+    /// The table this reader probes.
     pub(crate) fn cache(&self) -> &Arc<SharedFamilyCache> {
         &self.cache
     }
@@ -479,7 +508,7 @@ impl L2Reader {
     /// On a hit, appends the cached family translated by `mask` to
     /// `out` and returns its `(rotations, detours)` plan counts —
     /// byte-identical to what the construction that stored it produced,
-    /// by the same equivariance argument as the L1 replay. Lock-free
+    /// by cube-field equivariance (see `disjoint::family_cache`). Lock-free
     /// and allocation-free unless the shard rotated or was flushed
     /// since the last probe (then one brief mutex hold to re-clone the
     /// generations).
@@ -505,13 +534,17 @@ impl L2Reader {
             // the pair is consistent.
             local.version = shard.version.load(Ordering::Relaxed);
         }
-        let e = local.gens.get(h, key)?;
+        let (e, cold) = local.gens.get(h, key)?;
         out.extend_csr_xor(&e.nodes, &e.offsets, mask);
-        Some((e.rotations, e.detours))
+        let counts = (e.rotations, e.detours);
+        if cold && self.promote {
+            self.cache.insert(key, e.clone(), true);
+        }
+        Some(counts)
     }
 
-    /// Promotes a fresh construction into the shared tier (write side —
-    /// takes the shard mutex; see [`SharedFamilyCache::store`]).
+    /// Stores a fresh construction into the table (write side — takes
+    /// the shard mutex; see [`SharedFamilyCache::store`]).
     pub(crate) fn store(&self, key: u128, mask: u128, set: &PathSet, rotations: u64, detours: u64) {
         self.cache.store(key, mask, set, rotations, detours);
     }
@@ -650,12 +683,12 @@ mod tests {
         assert!(!l2.add_fault(v), "duplicate add is a no-op");
         assert_eq!(l2.generation(), 1);
         assert_eq!(l2.fault_count(), 1);
+        let mut snap = HashSet::new();
+        assert_eq!(l2.faults_snapshot_into(&mut snap), 1);
+        assert_eq!(snap, HashSet::from([v]));
         assert!(l2.clear_fault(v));
         assert!(!l2.clear_fault(v), "duplicate clear is a no-op");
         assert_eq!(l2.generation(), 2);
-        let (gen, snap) = l2.faults_snapshot();
-        assert_eq!(gen, 2);
-        assert!(snap.is_empty());
         let mut reused = HashSet::new();
         reused.insert(NodeId::from_raw(9));
         assert_eq!(l2.faults_snapshot_into(&mut reused), 2);

@@ -1,6 +1,6 @@
 //! Concurrency equivalence for the routing service: under any seeded
 //! interleaving of query bursts and fault events, [`Router`] answers —
-//! served from per-worker L1s over the shared L2, with lazy fault
+//! served from the workers' shared family cache (the L2), with lazy fault
 //! invalidation — must be byte-identical to a serial cold-cache oracle
 //! that solves every query from scratch against the same fault set.
 //!
@@ -240,8 +240,9 @@ fn seeded_fault_churn_hits_invalidation_path() {
     assert_eq!(got, want, "churn schedule diverged from the oracle");
 
     let c = router.metrics().construction;
-    // Tiered-probe conservation: every untraced query is an L1 hit, an
-    // L2 hit, or an L2 miss (the tier analogue of the fan-query law).
+    // Probe conservation: every untraced query is a private-table hit
+    // (never, while the shared tier is attached), an L2 hit, or an L2
+    // miss (the cache analogue of the fan-query law).
     assert_eq!(
         c.family_hits + c.l2_hits + c.l2_misses,
         c.queries,

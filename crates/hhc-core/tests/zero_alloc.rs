@@ -6,15 +6,15 @@
 //! L2 generations) and then asserts that repeated hit-path queries
 //! perform no `alloc`/`realloc` at all. Four loops are pinned:
 //!
-//! * **L1 hit** — replay from the per-builder family cache;
-//! * **L2 hit** — the builder's L1 is configured away
-//!   (`family_capacity: 0`), so every query probes the shared tier's
-//!   lock-free tables and copies the slab into the caller's scratch;
+//! * **private hit** — replay from the builder's private family table;
+//! * **L2 hit** — the builder's family cache is a shared tier, so every
+//!   query probes its lock-free tables and copies the slab into the
+//!   caller's scratch;
 //! * **L2 hit under non-intersecting faults** — same, plus a live
 //!   fault set the replayed family doesn't touch, so the avoiding
 //!   layer's fault scan runs (and passes) on the hot path;
-//! * **L2 hit after another builder's stores** — a second L1-less
-//!   builder stores new keys into the same tier (uncounted), then the
+//! * **L2 hit after another builder's stores** — a second builder on
+//!   the same tier stores new keys into the same tier (uncounted), then the
 //!   first builder's warm hits are counted again.
 //!
 //! This is the core of the router's per-query work; the worker loop
@@ -78,7 +78,7 @@ fn hit_paths_do_not_allocate() {
         (h.node(0x42, 0b000).unwrap(), h.node(0x42, 0b111).unwrap()),
     ];
 
-    // --- L1 hit path: per-builder family cache replay. ---
+    // --- Private hit path: the builder's own family table. ---
     let mut builder = PathBuilder::with_caches(CacheConfig::enabled());
     let mut out = PathSet::new();
     for &(u, v) in &queries {
@@ -113,8 +113,8 @@ fn hit_paths_do_not_allocate() {
         assert_eq!(n, 0, "L1-hit path allocated {n} times for {u:?}→{v:?}");
     }
 
-    // --- L2 hit path: L1 disabled, every query probes the shared
-    // tables and copies straight out of the slab. ---
+    // --- L2 hit path: the shared tier is the family cache; every query
+    // probes its tables and copies straight out of the slab. ---
     let l2 = Arc::new(SharedFamilyCache::new(L2Config::enabled()));
     let mut warmer = PathBuilder::with_caches(CacheConfig::enabled());
     warmer.attach_shared_cache(Arc::clone(&l2));

@@ -309,7 +309,7 @@ pub fn fan_paths_into(
         write_direct_fan(s, targets, scratch);
         return Ok(());
     }
-    solve_dinic(n, s, targets, scratch);
+    solve_dinic(n, s, targets, 0, scratch);
     Ok(())
 }
 
@@ -347,21 +347,13 @@ pub fn fan_paths_avoiding(
     if targets.is_empty() {
         return Ok(0);
     }
-    if forbidden == 0 {
-        if all_adjacent(s, targets) {
-            write_direct_fan(s, targets, scratch);
-        } else {
-            solve_dinic(n, s, targets, scratch);
-        }
-        return Ok(targets.len());
-    }
     if all_adjacent(s, targets) && targets.iter().all(|&t| forbidden >> t & 1 == 0) {
         // Direct edges bypass every interior node, so faults elsewhere in
         // the cube cannot invalidate the star fan.
         write_direct_fan(s, targets, scratch);
         return Ok(targets.len());
     }
-    Ok(solve_dinic_avoiding(n, s, targets, forbidden, scratch) as usize)
+    Ok(solve_dinic(n, s, targets, forbidden, scratch) as usize)
 }
 
 /// Input validation shared by every fan entry point. On success the
@@ -428,34 +420,59 @@ fn write_direct_fan(s: Node, targets: &[Node], scratch: &mut FanScratch) {
     scratch.metrics.fast_path += 1;
 }
 
-/// The general solver: seeds direct edges, runs unit max-flow, and
+/// The one fan solver: seeds direct edges, runs unit max-flow, and
 /// decomposes the flow into the output arena. Requires
 /// [`validate_and_index`] to have set up `target_idx` for exactly this
 /// `(s, targets)` query, and `targets` non-empty.
-fn solve_dinic(n: u32, s: Node, targets: &[Node], scratch: &mut FanScratch) {
+///
+/// Nodes whose bit is set in `forbidden` (non-zero only for `n ≤ 6`)
+/// are removed from the network: their vertex capacity is zeroed,
+/// forbidden targets get no terminal arc and no seeded edge. Returns the
+/// max-flow value, the number of targets served; unserved targets keep
+/// `path_of_target == UNSET`. With `forbidden == 0` the fan lemma makes
+/// every target served, and that is asserted.
+fn solve_dinic(n: u32, s: Node, targets: &[Node], forbidden: u64, scratch: &mut FanScratch) -> u32 {
     scratch.ensure_network(n);
     let num = 1u32 << n;
     let sink = 2 * num;
     let s32 = s as u32;
+    // `forbidden` is empty whenever labels can reach 64 bits.
+    let open = |t: Node| forbidden == 0 || forbidden >> t & 1 == 0;
     let d = scratch.dinic.as_mut().expect("network built");
     // Undo only what the previous query moved (O(arcs on its augmenting
     // paths)) rather than rewriting every capacity in the network.
     d.rewind(&scratch.default_caps);
     d.set_cap(scratch.vertex_arc[s as usize], u32::MAX / 2);
+    // Remove every forbidden node from the network by zeroing its
+    // vertex-split arc: no flow (hence no fan path) can pass through it.
+    let mut f = forbidden;
+    while f != 0 {
+        let v = f.trailing_zeros();
+        f &= f - 1;
+        if v < num {
+            d.set_cap(scratch.vertex_arc[v as usize], 0);
+        }
+    }
+    let mut want = 0u32;
     for &t in targets {
-        d.set_cap(scratch.terminal_arc[t as usize], 1);
+        if open(t) {
+            d.set_cap(scratch.terminal_arc[t as usize], 1);
+            want += 1;
+        }
     }
 
-    // Seed every target adjacent to `s` with its direct edge. A target is
-    // never an interior node of any fan path (its vertex capacity is
-    // consumed by its own terminal unit), so the direct edge is
-    // compatible with — and no longer than — some maximum fan; the
-    // solver only has to route the remaining targets.
+    // Seed every reachable target adjacent to `s` with its direct edge
+    // (forcing a unit through a zeroed vertex arc would corrupt the
+    // flow). A target is never an interior node of any fan path (its
+    // vertex capacity is consumed by its own terminal unit), so the
+    // direct edge is compatible with — and no longer than — some maximum
+    // fan of the (restricted) network; the solver only has to route the
+    // remaining targets.
     let mut seeded = 0u32;
     for &t in targets {
         let t32 = t as u32;
         let diff = t32 ^ s32;
-        if diff.count_ones() == 1 {
+        if diff.count_ones() == 1 && open(t) {
             let dim = diff.trailing_zeros();
             d.force_unit(scratch.vertex_arc[s as usize]);
             d.force_unit(scratch.edge_arc[(s32 * n + dim) as usize]);
@@ -466,18 +483,22 @@ fn solve_dinic(n: u32, s: Node, targets: &[Node], scratch: &mut FanScratch) {
     }
     scratch.metrics.seeded_direct += seeded as u64;
 
-    // The terminal arcs cap the flow at exactly `targets.len()`, and the
-    // fan lemma guarantees that value is reached — so the solver can stop
-    // there instead of running a final no-progress phase to prove it.
-    // Every augmenting path here has bottleneck 1 (the terminal arcs),
-    // which is exactly the regime the unit solver is built for.
-    let flow = seeded + d.max_flow_unit(v_in(s32), sink, targets.len() as u32 - seeded);
-    assert_eq!(
-        flow as usize,
-        targets.len(),
-        "fan lemma violated: flow {flow} < {} targets (bug)",
-        targets.len()
-    );
+    // The terminal arcs cap the flow at the reachable target count, so
+    // the solver can stop there instead of running a final no-progress
+    // phase to prove it. Every augmenting path here has bottleneck 1
+    // (the terminal arcs), which is exactly the regime the unit solver
+    // is built for. Without forbidden nodes the fan lemma guarantees
+    // that cap is reached; with them, faults may legitimately cut
+    // targets off, so the flow value is the answer, not an invariant.
+    let flow = seeded + d.max_flow_unit(v_in(s32), sink, want - seeded);
+    if forbidden == 0 {
+        assert_eq!(
+            flow as usize,
+            targets.len(),
+            "fan lemma violated: flow {flow} < {} targets (bug)",
+            targets.len()
+        );
+    }
 
     // Decompose: remaining flow per forward arc (the network is simple,
     // so an arc is uniquely determined by its endpoints), then walk.
@@ -505,112 +526,6 @@ fn solve_dinic(n: u32, s: Node, targets: &[Node], scratch: &mut FanScratch) {
             let _ = take(&mut scratch.rem, scratch.vertex_arc[cur as usize]);
             // Terminate here if this node's terminal arc still carries flow
             // (a target is never a through-node: its vertex capacity is 1).
-            let t_idx = scratch.target_idx[cur as usize];
-            if t_idx != UNSET && take(&mut scratch.rem, scratch.terminal_arc[cur as usize]) {
-                assert_eq!(
-                    scratch.path_of_target[t_idx as usize], UNSET,
-                    "target reached twice"
-                );
-                scratch.path_of_target[t_idx as usize] = p;
-                scratch.tmp_offsets.push(scratch.tmp_nodes.len() as u32);
-                break;
-            }
-            let next = (0..n)
-                .find(|&dim| take(&mut scratch.rem, scratch.edge_arc[(cur * n + dim) as usize]))
-                .map(|dim| cur ^ (1u32 << dim))
-                .expect("flow decomposition stuck (bug)");
-            scratch.tmp_nodes.push(next as Node);
-            cur = next;
-        }
-    }
-    debug_assert!(scratch.path_of_target.iter().all(|&p| p != UNSET));
-}
-
-/// [`solve_dinic`] over the fault-free subcube: forbidden nodes get
-/// vertex capacity 0, forbidden targets get no terminal arc, and only
-/// non-forbidden adjacent targets are seeded. Returns the max-flow value
-/// (= targets served); unserved targets keep `path_of_target == UNSET`.
-fn solve_dinic_avoiding(
-    n: u32,
-    s: Node,
-    targets: &[Node],
-    forbidden: u64,
-    scratch: &mut FanScratch,
-) -> u32 {
-    scratch.ensure_network(n);
-    let num = 1u32 << n;
-    let sink = 2 * num;
-    let s32 = s as u32;
-    let d = scratch.dinic.as_mut().expect("network built");
-    d.rewind(&scratch.default_caps);
-    d.set_cap(scratch.vertex_arc[s as usize], u32::MAX / 2);
-    // Remove every forbidden node from the network by zeroing its
-    // vertex-split arc: no flow (hence no fan path) can pass through it.
-    let mut f = forbidden;
-    while f != 0 {
-        let v = f.trailing_zeros();
-        f &= f - 1;
-        if v < num {
-            d.set_cap(scratch.vertex_arc[v as usize], 0);
-        }
-    }
-    let mut want = 0u32;
-    for &t in targets {
-        if forbidden >> t & 1 == 0 {
-            d.set_cap(scratch.terminal_arc[t as usize], 1);
-            want += 1;
-        }
-    }
-
-    // Seed direct edges exactly as in the plain solver, but only for
-    // reachable (non-forbidden) targets: forcing a unit through a zeroed
-    // vertex arc would corrupt the flow. The seeding argument from
-    // `solve_dinic` carries over to the fault-free subcube — a served
-    // target is never interior to another path, so its direct edge is
-    // compatible with some maximum fan of the restricted network.
-    let mut seeded = 0u32;
-    for &t in targets {
-        let t32 = t as u32;
-        let diff = t32 ^ s32;
-        if diff.count_ones() == 1 && forbidden >> t & 1 == 0 {
-            let dim = diff.trailing_zeros();
-            d.force_unit(scratch.vertex_arc[s as usize]);
-            d.force_unit(scratch.edge_arc[(s32 * n + dim) as usize]);
-            d.force_unit(scratch.vertex_arc[t as usize]);
-            d.force_unit(scratch.terminal_arc[t as usize]);
-            seeded += 1;
-        }
-    }
-    scratch.metrics.seeded_direct += seeded as u64;
-
-    // No fan-lemma assertion here: faults may legitimately cut targets
-    // off, so the flow value is the answer, not an invariant.
-    let flow = if want > seeded {
-        seeded + d.max_flow_unit(v_in(s32), sink, want - seeded)
-    } else {
-        seeded
-    };
-
-    scratch.rem.clear();
-    scratch.rem.resize(scratch.default_caps.len(), 0);
-    for &slot in d.touched_slots() {
-        scratch.rem[slot as usize] = d.flow_on(2 * slot);
-    }
-    scratch.path_of_target.resize(targets.len(), UNSET);
-    let take = |rem: &mut Vec<u32>, aid: ArcId| -> bool {
-        let slot = &mut rem[(aid / 2) as usize];
-        if *slot > 0 {
-            *slot -= 1;
-            true
-        } else {
-            false
-        }
-    };
-    for p in 0..flow {
-        scratch.tmp_nodes.push(s);
-        let mut cur = s32;
-        loop {
-            let _ = take(&mut scratch.rem, scratch.vertex_arc[cur as usize]);
             let t_idx = scratch.target_idx[cur as usize];
             if t_idx != UNSET && take(&mut scratch.rem, scratch.terminal_arc[cur as usize]) {
                 assert_eq!(
@@ -677,7 +592,7 @@ pub fn fan_paths_cached(
         return Ok(());
     }
     if !cacheable(n, k) {
-        solve_dinic(n, s, targets, scratch);
+        solve_dinic(n, s, targets, 0, scratch);
         return Ok(());
     }
 
@@ -722,7 +637,7 @@ pub fn fan_paths_cached(
         scratch.target_idx[ct as usize] = j as u32;
     }
     let canon_nodes = std::mem::take(&mut scratch.canon_nodes);
-    solve_dinic(n, 0, &canon_nodes, scratch);
+    solve_dinic(n, 0, &canon_nodes, 0, scratch);
     scratch.canon_nodes = canon_nodes;
 
     // Snapshot the canonical solution for the cache (sorted-target CSR,
@@ -915,7 +830,7 @@ mod tests {
     /// answer via the combinatorial fast path.
     fn dinic_reference(q: &Cube, s: Node, targets: &[Node], sc: &mut FanScratch) {
         let n = validate_and_index(q, s, targets, sc).unwrap();
-        solve_dinic(n, s, targets, sc);
+        solve_dinic(n, s, targets, 0, sc);
     }
 
     #[test]
